@@ -13,7 +13,7 @@ Usage::
     python -m repro trace export trace.json      # Perfetto-loadable JSON
     python -m repro trace report trace.json      # stall attribution
     python -m repro fig13 --profile 20    # cProfile bottleneck dump
-    python -m repro fig13 --walk-cache off    # skip the walk cache
+    python -m repro fig13 --walk-cache off    # skip the on-disk walk tier
     python -m repro cache-gc          # reclaim stale cache entries
     python -m repro serve --port 8321            # simulation job service
     python -m repro submit --workloads spmv,spkadd --wait
@@ -71,7 +71,6 @@ import time
 from pathlib import Path
 
 from . import obs, runtime
-from .config import set_default_fast
 from .errors import ReproError
 from .eval import experiments as ex
 from .runtime.manifest import RunManifest
@@ -187,27 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload filter for fig10/fig11/fig13/"
              "fig14 (e.g. spmv,spkadd)",
     )
-    cache_model = parser.add_mutually_exclusive_group()
-    cache_model.add_argument(
-        "--fast",
-        dest="cache_model",
-        action="store_const",
-        const="fast",
-        default="fast",
-        help="simulate with the vectorized cache model and the "
-             "structure-of-arrays TMU lane engine (default)",
-    )
-    cache_model.add_argument(
-        "--reference",
-        dest="cache_model",
-        action="store_const",
-        const="reference",
-        help="simulate with the golden-reference models (slow; "
-             "bit-for-bit equivalent to --fast: same cache hit masks, "
-             "same outQ records and RunStats).  The choice is part of "
-             "each cell's content hash, so cached results from the two "
-             "model families never collide",
-    )
     parser.add_argument(
         "--timeout",
         type=float,
@@ -305,9 +283,6 @@ def _build_trace_parser() -> argparse.ArgumentParser:
                         help="keep every Nth instant/counter event")
     record.add_argument("--capacity", type=int, default=65536,
                         metavar="N", help="ring-buffer capacity")
-    record.add_argument("--reference", action="store_true",
-                        help="trace the golden-reference cache model "
-                             "instead of the vectorized one")
 
     export = sub.add_parser(
         "export", help="validate a trace and export Perfetto-loadable "
@@ -335,8 +310,6 @@ def _trace_main(argv: list[str]) -> int:
                          "--trace-capacity", str(args.capacity)]
             if args.workloads:
                 forwarded += ["--workloads", args.workloads]
-            if args.reference:
-                forwarded.append("--reference")
             return main(forwarded)
         trace = obs.load_trace(args.trace)
         if args.action == "export":
@@ -1020,10 +993,6 @@ def main(argv: list[str] | None = None) -> int:
 
     names = sorted(_COMMANDS) if args.experiment == "all" else [
         args.experiment]
-    # Model selection (cache model + TMU engine) applies to every
-    # machine the drivers build; restored afterwards so embedded callers
-    # (tests, notebooks) see the default again.
-    set_default_fast(args.cache_model != "reference")
     profiler = None
     if args.profile is not None:
         import cProfile
@@ -1049,7 +1018,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.disable_tracing()
         return 0
     finally:
-        set_default_fast(True)
         if profiler is not None:
             import io
             import pstats
@@ -1067,7 +1035,6 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "jobs": args.jobs,
             "workloads": args.workloads or "all",
-            "cache_model": args.cache_model,
         })
         path = obs.write_snapshot(snap, args.telemetry)
         obs.disable()

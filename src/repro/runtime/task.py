@@ -67,10 +67,6 @@ def machine_from_dict(data: dict) -> MachineConfig:
         memory=MemoryConfig(**data["memory"]),
         noc=NocConfig(**data["noc"]),
         tmu=TMUConfig(**data["tmu"]),
-        # records written before the fast-model flags existed default to
-        # the reference models those results were produced with
-        fast_cache=data.get("fast_cache", False),
-        fast_engine=data.get("fast_engine", False),
     )
 
 

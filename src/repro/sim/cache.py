@@ -4,6 +4,12 @@ The model is *behavioural*: it classifies an ordered address stream into
 hits and misses.  Timing is derived later by the interval core model;
 the MSHR count is carried along as the memory-level-parallelism bound
 of the level.
+
+:class:`Cache` is the golden reference: a plain per-set LRU list,
+stateful across ``lookup_lines`` calls.  The figures never run it —
+the hierarchy walk uses the stateless stack-distance pass
+(:mod:`repro.sim.stackdist`) — but the parity tests hold that pass to
+this model's hit masks, stats and telemetry.
 """
 
 from __future__ import annotations
@@ -72,11 +78,11 @@ class _CacheTelemetry:
 
 
 def settle_lookup(cache, accesses: int, hit_count: int) -> None:
-    """Fold an externally computed lookup outcome into a cache object's
-    stats and published telemetry — exactly the bookkeeping
-    ``lookup_lines`` performs, for callers (the stack-distance walk in
-    :mod:`repro.sim.memsys`) that classify a stream without driving the
-    cache's own state machine."""
+    """Fold one lookup outcome into a level's stats and published
+    telemetry.  ``cache`` is anything with ``stats``, ``name`` and
+    ``_tele``: this :class:`Cache` after ``lookup_lines``, or a
+    :class:`~repro.sim.memsys.CacheLevel` of the stack-distance walk,
+    which classifies a stream without any tag state."""
     cache.stats.accesses += accesses
     cache.stats.hits += hit_count
     if cache.name:
@@ -150,13 +156,6 @@ class Cache:
                 hit_count += 1
         settle_lookup(self, int(lines.size), hit_count)
         return hits
-
-    def contains_line(self, line: int) -> bool:
-        return line in self._sets[line & self._set_mask]
-
-    @property
-    def mshrs(self) -> int:
-        return self.config.mshrs
 
 
 def to_lines(addresses: np.ndarray, line_bytes: int = 64) -> np.ndarray:

@@ -12,13 +12,6 @@ The TMU run models the decoupled producer/consumer pipeline of Section
 and the core consumes chunks with SIMD callbacks.  Total time is the
 slower of the two sides plus one chunk of pipeline fill — which makes
 the *read-to-write ratio* (Figure 13) a direct model output.
-
-Cache behaviour is classified by the model ``machine.fast_cache``
-selects (the vectorized :class:`~repro.sim.fastcache.FastCache` by
-default, the golden-reference :class:`~repro.sim.cache.Cache` under
-``--reference``); the two are hit/miss-equivalent, so every result in
-this module is identical either way — only the wall-clock cost of
-producing it changes.
 """
 
 from __future__ import annotations
@@ -108,8 +101,6 @@ class SystemResult:
     tmu_cycles: float = 0.0
     core_cycles: float = 0.0
 
-    def speedup_over(self, other: "SystemResult") -> float:
-        return other.cycles / self.cycles if self.cycles else float("inf")
 
 
 #: line requests one lane's queues keep in flight (queue-depth bound of

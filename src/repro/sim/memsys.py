@@ -10,6 +10,11 @@ Modeling notes (vs. gem5):
 * Streams are filtered per level; one level's misses are replayed into
   the next, which is exact for an exclusive-of-nothing composition and
   a good approximation of the paper's mostly-exclusive LLC.
+* Every walk starts the hierarchy cold and sees each level's whole
+  line stream at once, so one stateless stack-distance pass per level
+  (:mod:`repro.sim.stackdist`) classifies it exactly.  One batched
+  :func:`walk` serves the L1 → L2 → LLC profile and the TMU's
+  LLC-only view alike, traced or not.
 * Long streams are optionally *window-sampled*: a prefix window of each
   stream is simulated and the hit rates extrapolated.  Sampling is off
   by default at the suite's default scale.
@@ -30,20 +35,9 @@ import numpy as np
 from .. import obs
 from ..config import CacheConfig, MachineConfig
 from . import stackdist
-from .cache import Cache, _CacheTelemetry, _publish, dedup_consecutive, \
+from .cache import CacheStats, _CacheTelemetry, dedup_consecutive, \
     settle_lookup, to_lines
-from .fastcache import FastCache
 from .trace import AccessStream, KernelTrace
-
-
-def make_cache(config: CacheConfig, name: str = "", *, fast: bool = True):
-    """One cache level in the selected model: the vectorized
-    :class:`~repro.sim.fastcache.FastCache` (default) or the
-    golden-reference :class:`~repro.sim.cache.Cache`.  Both are
-    bit-for-bit hit/miss-equivalent; ``MachineConfig.fast_cache``
-    (``--fast`` / ``--reference`` on the CLI) picks one."""
-    cls = FastCache if fast else Cache
-    return cls(config, name=name)
 
 
 @dataclass
@@ -335,27 +329,6 @@ def prepare_lines(stream: AccessStream, line_bytes: int,
     return lines, total, scale
 
 
-def _walk_level(cache, lines: np.ndarray) -> np.ndarray:
-    """Classify one level's line stream in a single-shot batched walk.
-
-    The fast model routes through the stateless stack-distance pass
-    (:mod:`repro.sim.stackdist`): the walk starts from a reset cache
-    and sees the level's whole stream in one call, which is exactly
-    the cold-start whole-stream case the offline model computes — so
-    the mask, stats and published telemetry are bit-identical to
-    driving ``FastCache.lookup_lines`` (the fuzz harness in
-    ``tests/test_stackdist_equiv.py`` holds all three models to the
-    same answers).  The reference model keeps its stateful walk.
-    """
-    if lines.size == 0:
-        return np.zeros(0, dtype=bool)
-    if isinstance(cache, FastCache):
-        hits = stackdist.hit_mask(lines, cache.num_sets, cache.ways)
-        settle_lookup(cache, lines.size, int(hits.sum()))
-        return hits
-    return cache.lookup_lines(lines)
-
-
 def sequentiality(lines: np.ndarray) -> float:
     """Fraction of accesses whose line is within +-2 lines of the
     previous access — the streams a stride/best-offset prefetcher
@@ -364,6 +337,111 @@ def sequentiality(lines: np.ndarray) -> float:
         return 0.0
     deltas = np.abs(np.diff(lines))
     return float(np.mean(deltas <= 2))
+
+
+@dataclass
+class CacheLevel:
+    """One level of a hierarchy walk: geometry, telemetry name and
+    running :class:`CacheStats`.  A level holds no tag state — every
+    walk starts it cold and classifies its whole line stream in one
+    stateless :func:`repro.sim.stackdist.hit_mask` pass."""
+
+    config: CacheConfig
+    name: str
+    stats: CacheStats = field(default_factory=CacheStats)
+    _tele: _CacheTelemetry = field(default_factory=_CacheTelemetry,
+                                   repr=False, compare=False)
+
+
+#: the StreamProfile hit field of each level, L1 first; a walk over
+#: fewer levels takes the last fields (the LLC-only view fills
+#: ``llc_hits`` alone).
+_HIT_FIELDS = ("l1_hits", "l2_hits", "llc_hits")
+
+
+def _level_hits(level: CacheLevel, lines: np.ndarray) -> np.ndarray:
+    """Classify one level's line stream and fold the outcome into the
+    level's stats and published ``sim.cache.<name>.*`` telemetry."""
+    if lines.size == 0:
+        return np.zeros(0, dtype=bool)
+    c = level.config
+    hits = stackdist.hit_mask(lines, c.num_sets, c.ways)
+    settle_lookup(level, lines.size, int(hits.sum()))
+    return hits
+
+
+def _classify(levels: list[CacheLevel], streams: list[AccessStream],
+              sample_window: int | None,
+              prefetch: bool) -> list[StreamProfile]:
+    """The batched walk: each stream's lines are prepared once and
+    concatenated in declaration order; each level classifies the
+    misses of the level before it in one call, and hits are attributed
+    back to streams by segment id.  Exact: a level's state depends only
+    on the lookups it serves, in the order it serves them."""
+    prepared = [prepare_lines(s, levels[0].config.line_bytes,
+                              sample_window) for s in streams]
+    num = len(prepared)
+    seg = np.repeat(np.arange(num, dtype=np.int64),
+                    [lines.size for lines, _, _ in prepared])
+    lines = (np.concatenate([p[0] for p in prepared])
+             if seg.size else np.zeros(0, dtype=np.int64))
+    level_hits = []
+    for level in levels:
+        hit = _level_hits(level, lines)
+        level_hits.append(np.bincount(seg[hit], minlength=num))
+        lines, seg = lines[~hit], seg[~hit]
+    mem = np.bincount(seg, minlength=num)
+    fields = _HIT_FIELDS[-len(levels):]
+
+    profiles = []
+    for i, (stream, (own, total, scale)) in enumerate(
+            zip(streams, prepared)):
+        # Stride/best-offset prefetchers cover sequential streams, but
+        # imperfectly: late prefetches and stream restarts leave about
+        # a quarter of the latency exposed.
+        coverage = (sequentiality(own) * 0.75
+                    if prefetch and not stream.dependent else 0.0)
+        profiles.append(StreamProfile(
+            label=stream.label,
+            kind=stream.kind,
+            dependent=stream.dependent,
+            gather=stream.gather,
+            accesses=int(total * scale),
+            bytes=int(stream.bytes),
+            mem_accesses=int(mem[i] * scale),
+            prefetch_coverage=coverage,
+            **{f: int(h[i] * scale) for f, h in zip(fields, level_hits)},
+        ))
+    return profiles
+
+
+def walk(levels: list[CacheLevel], streams: list[AccessStream], *,
+         sample_window: int | None = None,
+         prefetch: bool = False) -> list[StreamProfile]:
+    """Walk ``streams`` through cold ``levels`` (L1 first), through
+    the walk cache.
+
+    The walk is a pure function of the level geometries and the
+    stream contents, so a cached walk is reused as is; replaying it
+    folds the stored per-level counts into the levels' stats and
+    telemetry, leaving both identical to a computed walk."""
+    geom = tuple((lv.name, lv.config.size_bytes, lv.config.line_bytes,
+                  lv.config.ways, lv.config.latency, lv.config.mshrs)
+                 for lv in levels)
+    key = (geom, sample_window, prefetch,
+           tuple(_stream_fingerprint(s) for s in streams))
+    value = _WALK_CACHE.lookup(key, streams)
+    if value is not None:
+        stored, counts = value
+        for level, (accesses, hits) in zip(levels, counts):
+            if accesses:
+                settle_lookup(level, accesses, hits)
+        return [replace(sp) for sp in stored]
+    profiles = _classify(levels, streams, sample_window, prefetch)
+    _WALK_CACHE.put(key, streams,
+                    ([replace(sp) for sp in profiles],
+                     [(lv.stats.accesses, lv.stats.hits) for lv in levels]))
+    return profiles
 
 
 class MemoryHierarchy:
@@ -375,228 +453,58 @@ class MemoryHierarchy:
         self.machine = machine
         self.sample_window = sample_window
         self.model_prefetchers = model_prefetchers
-        fast = machine.fast_cache
-        self.l1 = make_cache(machine.l1d, name="l1", fast=fast)
-        self.l2 = make_cache(machine.l2, name="l2", fast=fast)
+        self.l1 = CacheLevel(machine.l1d, "l1")
+        self.l2 = CacheLevel(machine.l2, "l2")
         # The LLC is shared; with all cores running the same kernel on
         # disjoint row ranges, contention is symmetric, so one core sees
         # the full LLC for its share of the data.
-        self.llc = make_cache(machine.llc, name="llc", fast=fast)
+        self.llc = CacheLevel(machine.llc, "llc")
+
+    @property
+    def levels(self) -> list[CacheLevel]:
+        return [self.l1, self.l2, self.llc]
 
     def reset(self) -> None:
-        self.l1.reset()
-        self.l2.reset()
-        self.llc.reset()
-
-    def _memo_key(self, streams: list[AccessStream]) -> tuple:
-        m = self.machine
-        geom = tuple((c.size_bytes, c.line_bytes, c.ways, c.latency,
-                      c.mshrs) for c in (m.l1d, m.l2, m.llc))
-        return (geom, m.fast_cache, self.sample_window,
-                self.model_prefetchers,
-                tuple(_stream_fingerprint(s) for s in streams))
-
-    def _prepared_lines(self, stream: AccessStream
-                        ) -> tuple[np.ndarray, int, float]:
-        return prepare_lines(stream, self.machine.l1d.line_bytes,
-                             self.sample_window)
-
-    def _coverage(self, stream: AccessStream, lines: np.ndarray) -> float:
-        if self.model_prefetchers and not stream.dependent:
-            # Stride/best-offset prefetchers cover sequential streams,
-            # but imperfectly: late prefetches and stream restarts leave
-            # about a quarter of the latency exposed.
-            return sequentiality(lines) * 0.75
-        return 0.0
-
-    def profile_stream(self, stream: AccessStream) -> StreamProfile:
-        """Walk one stream through the hierarchy."""
-        lines, total, scale = self._prepared_lines(stream)
-
-        l1_hit = self.l1.lookup_lines(lines) if lines.size else np.zeros(
-            0, dtype=bool)
-        l1_misses = lines[~l1_hit]
-        l2_hit = self.l2.lookup_lines(l1_misses) if l1_misses.size else (
-            np.zeros(0, dtype=bool))
-        l2_misses = l1_misses[~l2_hit]
-        llc_hit = self.llc.lookup_lines(l2_misses) if l2_misses.size else (
-            np.zeros(0, dtype=bool))
-        mem = int((~llc_hit).sum())
-
-        coverage = self._coverage(stream, lines)
-
-        return StreamProfile(
-            label=stream.label,
-            kind=stream.kind,
-            dependent=stream.dependent,
-            gather=stream.gather,
-            accesses=int(total * scale) if total else 0,
-            bytes=int(stream.bytes),
-            l1_hits=int(l1_hit.sum() * scale),
-            l2_hits=int(l2_hit.sum() * scale),
-            llc_hits=int(llc_hit.sum() * scale),
-            mem_accesses=int(mem * scale),
-            prefetch_coverage=coverage,
-        )
+        for level in self.levels:
+            level.stats = CacheStats()
 
     def profile(self, trace: KernelTrace) -> AccessProfile:
         """Walk all streams of a kernel trace (in declaration order)."""
         self.reset()
         profile = AccessProfile(line_bytes=self.machine.l1d.line_bytes)
-        tracer = obs.tracer()
         with obs.timer("sim.memsys.profile"):
-            if tracer.enabled:
-                # Reference walk: one hierarchy pass per stream, so the
-                # trace carries per-stream cache events in program order.
-                for stream in trace.streams:
-                    sp = self.profile_stream(stream)
-                    profile.streams.append(sp)
-                    start = tracer.alloc(sp.accesses)
-                    tracer.span("sim.memsys", sp.label or "stream", start,
-                                sp.accesses, {
-                                    "accesses": sp.accesses,
-                                    "l1_hits": sp.l1_hits,
-                                    "mem_lines": sp.mem_accesses,
-                                })
-            else:
-                key = self._memo_key(trace.streams)
-                value = _WALK_CACHE.lookup(key, trace.streams)
-                if value is None:
-                    sps = self._profile_batched(trace.streams)
-                    levels = [(c.stats.accesses, c.stats.hits)
-                              for c in (self.l1, self.l2, self.llc)]
-                    _WALK_CACHE.put(key, trace.streams,
-                                    ([replace(sp) for sp in sps], levels))
-                else:
-                    stored, levels = value
-                    sps = [replace(sp) for sp in stored]
-                    # Replay the walk's side effects: the caches were
-                    # reset above, so stats and published counters end
-                    # up identical to the unmemoized walk.
-                    for cache, (acc, hits) in zip(
-                            (self.l1, self.l2, self.llc), levels):
-                        cache.stats.accesses += acc
-                        cache.stats.hits += hits
-                        if acc and cache.name:
-                            _publish(cache._tele.refresh(cache.name),
-                                     cache.name, acc, hits)
-                profile.streams.extend(sps)
+            profile.streams.extend(walk(
+                self.levels, trace.streams,
+                sample_window=self.sample_window,
+                prefetch=self.model_prefetchers))
+        tracer = obs.tracer()
+        if tracer.enabled:
+            # per-stream spans in program order, from the walk's own
+            # attribution — tracing never changes which code computes
+            for sp in profile.streams:
+                start = tracer.alloc(sp.accesses)
+                tracer.span("sim.memsys", sp.label or "stream", start,
+                            sp.accesses, {
+                                "accesses": sp.accesses,
+                                "l1_hits": sp.l1_hits,
+                                "mem_lines": sp.mem_accesses,
+                            })
         if obs.enabled():
             view = obs.active().prefixed("sim.memsys")
             view.counter("profiles").add()
             view.counter("streams").add(len(profile.streams))
             view.counter("mem_lines").add(profile.mem_lines)
-            for level, cache in (("l1", self.l1), ("l2", self.l2),
-                                 ("llc", self.llc)):
-                view.gauge(f"{level}.hit_rate").set(cache.stats.hit_rate)
+            for level in self.levels:
+                view.gauge(f"{level.name}.hit_rate").set(
+                    level.stats.hit_rate)
         return profile
-
-    def _profile_batched(self, streams: list[AccessStream]
-                         ) -> list[StreamProfile]:
-        """The hierarchy walk with one ``lookup_lines`` call per level.
-
-        Exactly equivalent to the per-stream reference walk: each cache
-        level's state depends only on the lookups *it* serves, and the
-        concatenated per-level access order (stream 0's lines, then
-        stream 1's, ...) is identical to the order the sequential walk
-        produces — batching only moves the call boundaries, which both
-        cache models compose across exactly.  Per-stream attribution
-        falls out of a segment-id ``bincount`` on each level's hit mask.
-        """
-        prepared = [self._prepared_lines(s) for s in streams]
-        num = len(prepared)
-        sizes = [lines.size for lines, _, _ in prepared]
-        seg = np.repeat(np.arange(num, dtype=np.int64), sizes)
-        all_lines = (np.concatenate([p[0] for p in prepared])
-                     if seg.size else np.zeros(0, dtype=np.int64))
-
-        l1_hit = _walk_level(self.l1, all_lines)
-        l2_lines, l2_seg = all_lines[~l1_hit], seg[~l1_hit]
-        l2_hit = _walk_level(self.l2, l2_lines)
-        llc_lines, llc_seg = l2_lines[~l2_hit], l2_seg[~l2_hit]
-        llc_hit = _walk_level(self.llc, llc_lines)
-
-        l1_hits = np.bincount(seg[l1_hit], minlength=num)
-        l2_hits = np.bincount(l2_seg[l2_hit], minlength=num)
-        llc_hits = np.bincount(llc_seg[llc_hit], minlength=num)
-        mem = np.bincount(llc_seg[~llc_hit], minlength=num)
-
-        return [
-            StreamProfile(
-                label=stream.label,
-                kind=stream.kind,
-                dependent=stream.dependent,
-                gather=stream.gather,
-                accesses=int(total * scale) if total else 0,
-                bytes=int(stream.bytes),
-                l1_hits=int(l1_hits[i] * scale),
-                l2_hits=int(l2_hits[i] * scale),
-                llc_hits=int(llc_hits[i] * scale),
-                mem_accesses=int(mem[i] * scale),
-                prefetch_coverage=self._coverage(stream, lines),
-            )
-            for i, (stream, (lines, total, scale))
-            in enumerate(zip(streams, prepared))
-        ]
-
-
-#: telemetry handle for replayed llc_only walks (the cache object that
-#: produced the memoized walk is long gone; counters are additive, so
-#: publishing the stored totals through a module handle is identical).
-_LLC_REPLAY_TELE = _CacheTelemetry()
 
 
 def llc_only_profile(machine: MachineConfig, streams: list[AccessStream],
                      *, sample_window: int | None = None) -> AccessProfile:
     """Profile streams against the LLC alone — the TMU's view of the
     hierarchy (it reads directly from the LLC, Section 5.6)."""
-    c = machine.llc
-    memo_key = None
-    if not obs.tracer().enabled:
-        memo_key = ("llc_only", (c.size_bytes, c.line_bytes, c.ways,
-                                 c.latency, c.mshrs), machine.fast_cache,
-                    sample_window,
-                    tuple(_stream_fingerprint(s) for s in streams))
-        value = _WALK_CACHE.lookup(memo_key, streams)
-        if value is not None:
-            stored, ((acc, hit_count),) = value
-            out = AccessProfile(line_bytes=c.line_bytes)
-            out.streams.extend(replace(sp) for sp in stored)
-            if acc:
-                _publish(_LLC_REPLAY_TELE.refresh("tmu_llc"), "tmu_llc",
-                         acc, hit_count)
-            return out
-    llc = make_cache(machine.llc, name="tmu_llc", fast=machine.fast_cache)
     profile = AccessProfile(line_bytes=machine.llc.line_bytes)
-    prepared = [prepare_lines(s, machine.llc.line_bytes, sample_window)
-                for s in streams]
-    # One walk over the concatenation (exact: single level, order
-    # preserved), attributed back per stream by segment id.
-    num = len(prepared)
-    seg = np.repeat(np.arange(num, dtype=np.int64),
-                    [p[0].size for p in prepared])
-    all_lines = (np.concatenate([p[0] for p in prepared])
-                 if seg.size else np.zeros(0, dtype=np.int64))
-    hit = _walk_level(llc, all_lines)
-    hits = np.bincount(seg[hit], minlength=num)
-    misses = np.bincount(seg[~hit], minlength=num)
-    for i, (stream, (lines, total, scale)) in enumerate(
-            zip(streams, prepared)):
-        profile.streams.append(StreamProfile(
-            label=stream.label,
-            kind=stream.kind,
-            dependent=stream.dependent,
-            gather=stream.gather,
-            accesses=int(total * scale),
-            bytes=int(stream.bytes),
-            l1_hits=0,
-            l2_hits=0,
-            llc_hits=int(hits[i] * scale),
-            mem_accesses=int(misses[i] * scale),
-            prefetch_coverage=0.0,
-        ))
-    if memo_key is not None:
-        _WALK_CACHE.put(memo_key, streams,
-                        ([replace(sp) for sp in profile.streams],
-                         [(llc.stats.accesses, llc.stats.hits)]))
+    profile.streams.extend(walk([CacheLevel(machine.llc, "tmu_llc")],
+                                streams, sample_window=sample_window))
     return profile

@@ -300,3 +300,84 @@ class TestExecutorTraceMerge:
 
         out = _evaluate_task(FakeTask())
         assert "trace" not in out and "telemetry" not in out
+
+
+def _spkadd_inputs():
+    from repro.generators import uniform_random_matrix
+    from repro.kernels import split_rows_cyclic
+
+    return split_rows_cyclic(uniform_random_matrix(60, 60, 6, seed=5), 4)
+
+
+def _walk_observables(trace) -> dict:
+    """Profiles, per-level stats and ``sim.cache.*`` counters of one
+    hierarchy walk plus one LLC-only walk."""
+    from dataclasses import asdict
+
+    from repro.config import default_machine
+    from repro.sim.memsys import MemoryHierarchy, llc_only_profile
+
+    machine = default_machine()
+    hierarchy = MemoryHierarchy(machine)
+    with obs.capture() as registry:
+        profile = hierarchy.profile(trace)
+        llc = llc_only_profile(machine, trace.streams)
+    counters = registry.as_dict()["counters"]
+    return {
+        "profiles": [asdict(sp) for sp in profile.streams],
+        "llc": [asdict(sp) for sp in llc.streams],
+        "stats": [(lv.stats.accesses, lv.stats.hits) for lv in hierarchy.levels],
+        "cache_counters": {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("sim.cache.")
+        },
+    }
+
+
+class TestTracingParity:
+    """Turning tracing on never changes which code computes the answer."""
+
+    def test_hierarchy_and_llc_walks(self, monkeypatch):
+        from repro.config import default_machine
+        from repro.kernels.spkadd import characterize_spkadd
+        from repro.sim.memsys import walk_cache
+
+        wc = walk_cache()
+        monkeypatch.setattr(wc, "store", None)
+        trace = characterize_spkadd(_spkadd_inputs(), default_machine())
+        assert len(trace.streams) > 1
+
+        wc.clear()
+        untraced = _walk_observables(trace)
+        labels = [s.label or "stream" for s in trace.streams]
+        accesses = [p["accesses"] for p in untraced["profiles"]]
+        for cold in (True, False):  # a computed walk, then a replayed one
+            if cold:
+                wc.clear()
+            hits = wc.hits
+            with obs.trace_capture() as tr:
+                traced = _walk_observables(trace)
+            assert traced == untraced
+            # traced walks go through the walk cache like untraced ones
+            assert wc.hits == hits + (0 if cold else 2)
+            spans = [e for e in tr.events if e[2] == "X" and e[3] == "sim.memsys"]
+            assert [e[4] for e in spans] == labels
+            assert [e[5]["accesses"] for e in spans] == accesses
+        wc.clear()
+
+    def test_engine_run_stats_on_spkadd(self):
+        from dataclasses import asdict
+
+        from repro.programs import build_spkadd_program
+        from repro.tmu.engine import TmuEngine
+
+        parts = _spkadd_inputs()
+        built = build_spkadd_program(parts)
+        untraced = asdict(TmuEngine(built.program).run(built.handlers))
+        built = build_spkadd_program(parts)
+        with obs.trace_capture() as tr:
+            traced = asdict(TmuEngine(built.program).run(built.handlers))
+        assert tr.events
+        assert any(untraced["layer_merge_steps"])
+        assert traced == untraced

@@ -250,36 +250,6 @@ class TestRuntimeParallel:
         reader.run_cells(tasks)
         assert reader.last_manifest.hit_rate == 1.0
 
-    def test_reference_selection_rides_the_spec_into_workers(self,
-                                                             tmp_path):
-        """``--reference`` under ``--jobs 4``: model selection must
-        reach pool workers through each task's (hashed) spec, never
-        through ambient process-global state — a spawned worker does
-        not inherit the parent's module globals, so anything that only
-        lives there silently reverts to the fast models."""
-        from repro.config import set_default_fast
-
-        cache = ResultCache(tmp_path / "ref")
-        set_default_fast(False)
-        try:
-            tasks = [SimTask("spmv", i) for i in ("M1", "M2")]
-            ref_hashes = [t.content_hash() for t in tasks]
-            Runtime(jobs=4, cache=cache).run_cells(tasks)
-        finally:
-            set_default_fast(True)
-        for ref_hash in ref_hashes:
-            record = cache.get(ref_hash)
-            assert record is not None
-            machine = record["task"]["machine"]
-            assert machine["fast_engine"] is False
-            assert machine["fast_cache"] is False
-        # fresh tasks under the restored default hash differently: the
-        # two model families can never collide in the cache
-        fast_hashes = [SimTask("spmv", i).content_hash()
-                       for i in ("M1", "M2")]
-        assert set(fast_hashes).isdisjoint(ref_hashes)
-        assert all(cache.get(h) is None for h in fast_hashes)
-
 
 class TestManifest:
     def test_roundtrip_and_summary(self, tmp_path, cache):

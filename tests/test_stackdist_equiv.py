@@ -1,19 +1,21 @@
-"""Stack-distance model vs Cache vs FastCache: three-way parity.
+"""Stack-distance model vs the golden-reference Cache: two-way parity.
 
 The stateless whole-stream pass (:func:`repro.sim.stackdist.hit_mask`)
-must produce the *same hit mask on every access* as both stateful
-models from a cold start, for any geometry and any access pattern —
-that is the license for the hierarchy walk in :mod:`repro.sim.memsys`
-to route its batched cold-start walks through it.
+must produce the *same hit mask on every access* as the stateful
+reference :class:`~repro.sim.cache.Cache` from a cold start, for any
+geometry and any access pattern — that is the license for the
+hierarchy walk in :mod:`repro.sim.memsys` to classify every level
+through it.
 
 The seeded fuzz rotates with ``REPRO_FUZZ_SEED`` (the CI parity-fuzz
 job sets it per run), so coverage compounds across runs while any
 failure stays reproducible from the seed in the log.
 
 The second half holds the walk itself to account on every Table 4
-kernel baseline: identical ``StreamProfile``s, per-level cache stats,
-published ``sim.cache.*`` telemetry, and end-to-end ``run_baseline``
-cycle results between the fast and reference model families.
+kernel baseline: the test swaps ``stackdist.hit_mask`` for a
+``Cache``-backed classifier and requires identical ``StreamProfile``s,
+per-level cache stats, published ``sim.cache.*`` telemetry, and
+end-to-end ``run_baseline`` cycle results.
 """
 
 import os
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import CacheConfig, MachineConfig, default_machine
+from repro.config import CacheConfig, default_machine
 from repro.errors import SimulationError
 from repro.formats.convert import coo_to_csf
 from repro.generators import uniform_random_matrix, uniform_random_tensor
@@ -38,8 +40,8 @@ from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
 from repro.kernels.sptc import characterize_sptc
 from repro.kernels.triangle import characterize_triangle, lower_triangle
+from repro.sim import stackdist
 from repro.sim.cache import Cache
-from repro.sim.fastcache import FastCache
 from repro.sim.machine import run_baseline
 from repro.sim.memsys import (
     MemoryHierarchy,
@@ -47,7 +49,7 @@ from repro.sim.memsys import (
     walk_cache,
 )
 from repro.sim.stackdist import hit_mask
-from repro.sim.trace import KernelTrace
+from repro.sim.trace import AccessStream, KernelTrace
 
 #: rotating fuzz seed: CI sets REPRO_FUZZ_SEED per run so coverage
 #: compounds; a failure's log line pins the seed for local replay.
@@ -57,8 +59,7 @@ FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0x57ACD157"), 0)
 
 
 def _stream(rng, kind, n, sets, ways):
-    """One adversarial line stream of length ``n`` (the same shapes
-    ``test_fastcache_equiv`` replays through the stateful pair)."""
+    """One adversarial line stream of length ``n``."""
     capacity = sets * ways
     if kind == "uniform":
         return rng.integers(0, 4 * capacity + 1, n)
@@ -80,15 +81,18 @@ def _stream(rng, kind, n, sets, ways):
     return np.repeat(vals, reps)[:n]
 
 
-def _three_way(lines: np.ndarray, sets: int, ways: int) -> None:
-    """Assert stackdist == cold Cache == cold FastCache on one stream."""
+def _reference_hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
+    """``hit_mask`` computed by replaying ``lines`` through a cold
+    reference :class:`Cache` (unnamed, so it publishes no telemetry)."""
+    return Cache(CacheConfig(num_sets * ways * 64, ways, 1, 4)).lookup_lines(lines)
+
+
+def _two_way(lines: np.ndarray, sets: int, ways: int) -> None:
+    """Assert stackdist == cold Cache on one stream."""
     lines = np.asarray(lines, dtype=np.int64)
-    cfg = CacheConfig(sets * ways * 64, ways, 1, 4)
-    ref = Cache(cfg).lookup_lines(lines)
-    fast = FastCache(cfg).lookup_lines(lines)
-    sd = hit_mask(lines, sets, ways)
-    np.testing.assert_array_equal(sd, ref)
-    np.testing.assert_array_equal(sd, fast)
+    np.testing.assert_array_equal(
+        hit_mask(lines, sets, ways), _reference_hit_mask(lines, sets, ways)
+    )
 
 
 class TestFuzzEquivalence:
@@ -104,7 +108,7 @@ class TestFuzzEquivalence:
             ways = int(rng.integers(1, 17, 1)[0])
             for kind in kinds:
                 n = int(rng.integers(1, 500, 1)[0])
-                _three_way(_stream(rng, kind, n, sets, ways), sets, ways)
+                _two_way(_stream(rng, kind, n, sets, ways), sets, ways)
                 streams += 1
         assert streams >= 720
 
@@ -116,10 +120,10 @@ class TestFuzzEquivalence:
             capacity = sets * ways
             for kind in ("uniform", "thrash", "reuse"):
                 lines = _stream(rng, kind, 60_000, sets, ways)
-                _three_way(lines, sets, ways)
+                _two_way(lines, sets, ways)
             # wrap-around loop at 2x capacity: every access's window
             # spans half the stream — worst case for the screens
-            _three_way(np.arange(60_000) % (2 * capacity), sets, ways)
+            _two_way(np.arange(60_000) % (2 * capacity), sets, ways)
 
     def test_monotonic_early_exit_is_exact(self):
         """Strictly monotonic streams take the all-cold-miss early
@@ -127,17 +131,17 @@ class TestFuzzEquivalence:
         near-monotonic streams (one repeat) must not take it."""
         for lines in (np.arange(5000), np.arange(5000)[::-1].copy(),
                       np.arange(0, 15000, 3)):
-            _three_way(lines, 64, 8)
+            _two_way(lines, 64, 8)
             assert not hit_mask(np.asarray(lines), 64, 8).any()
         nearly = np.arange(5000)
         nearly[2500] = nearly[2499]  # one plateau: exit must not fire
-        _three_way(nearly, 64, 8)
+        _two_way(nearly, 64, 8)
         assert hit_mask(nearly, 64, 8).sum() == 1
 
     def test_single_access_and_empty(self):
         assert hit_mask(np.zeros(0, dtype=np.int64), 4, 2).size == 0
-        _three_way(np.array([7]), 4, 2)
-        _three_way(np.array([7, 7]), 4, 2)
+        _two_way(np.array([7]), 4, 2)
+        _two_way(np.array([7, 7]), 4, 2)
 
     def test_non_power_of_two_sets_rejected(self):
         with pytest.raises(SimulationError):
@@ -145,8 +149,8 @@ class TestFuzzEquivalence:
 
     def test_direct_mapped_and_single_set(self):
         rng = np.random.default_rng(FUZZ_SEED ^ 0xD19E57)
-        _three_way(rng.integers(0, 64, 4000), 16, 1)  # direct-mapped
-        _three_way(rng.integers(0, 64, 4000), 1, 16)  # fully assoc.
+        _two_way(rng.integers(0, 64, 4000), 16, 1)  # direct-mapped
+        _two_way(rng.integers(0, 64, 4000), 1, 16)  # fully assoc.
 
 
 # ---------------------------------------------- Table 4 kernel walk parity
@@ -179,73 +183,94 @@ def _kernel_traces() -> dict:
     }
 
 
-def _machines() -> tuple[MachineConfig, MachineConfig]:
-    fast = default_machine()
-    from dataclasses import replace
+@pytest.fixture
+def reference_walk(monkeypatch):
+    """A function that swaps ``stackdist.hit_mask`` for the reference
+    ``Cache`` and returns the list of stream lengths the swapped
+    classifier serves, so a walk that bypassed the module attribute
+    cannot pass vacuously.  The disk tier is detached, so no walk is
+    served from a stored result."""
+    monkeypatch.setattr(walk_cache(), "store", None)
+    calls = []
 
-    return fast, replace(fast, fast_cache=False)
+    def classify(lines, num_sets, ways):
+        calls.append(len(lines))
+        return _reference_hit_mask(lines, num_sets, ways)
+
+    def swap():
+        monkeypatch.setattr(stackdist, "hit_mask", classify)
+        return calls
+
+    return swap
 
 
 def _cache_counters(registry) -> dict:
     body = registry.as_dict()
-    return {name: data for name, data in body.get("counters", {}).items()
-            if name.startswith("sim.cache.")}
+    return {
+        name: data
+        for name, data in body.get("counters", {}).items()
+        if name.startswith("sim.cache.")
+    }
+
+
+def _walk_everything(trace: KernelTrace) -> dict:
+    """Every observable of the hierarchy and LLC-only walks plus the
+    end-to-end baseline cycles, from a cleared walk cache."""
+    machine = default_machine()
+    walk_cache().clear()
+    h = MemoryHierarchy(machine)
+    with obs.capture() as registry:
+        profile = h.profile(trace)
+        llc = llc_only_profile(machine, trace.streams)
+    walk_cache().clear()
+    base = run_baseline(trace, machine)
+    walk_cache().clear()
+    return {
+        "profiles": [asdict(sp) for sp in profile.streams],
+        "llc": [asdict(sp) for sp in llc.streams],
+        "stats": [(lv.stats.accesses, lv.stats.hits) for lv in h.levels],
+        "telemetry": _cache_counters(registry),
+        "cycles": base.cycles,
+        "breakdown": asdict(base.breakdown),
+    }
 
 
 @pytest.mark.parametrize("kernel", sorted(_kernel_traces()))
-def test_walk_parity_on_kernel(kernel):
-    """Fast-model hierarchy walks (stack-distance) must match the
-    reference walk on every Table 4 kernel baseline: StreamProfiles,
-    per-level stats, published telemetry, and end-to-end cycles."""
+def test_walk_parity_on_kernel(kernel, reference_walk):
+    """Stack-distance hierarchy walks must match the reference ``Cache``
+    on every Table 4 kernel baseline: StreamProfiles, per-level stats,
+    published telemetry, and end-to-end cycles."""
     trace = _kernel_traces()[kernel]()
-    m_fast, m_ref = _machines()
-
-    results = {}
-    for tag, machine in (("fast", m_fast), ("reference", m_ref)):
-        walk_cache().clear()
-        h = MemoryHierarchy(machine)
-        with obs.capture() as registry:
-            profile = h.profile(trace)
-            llc = llc_only_profile(machine, trace.streams)
-        results[tag] = {
-            "profiles": [asdict(sp) for sp in profile.streams],
-            "llc": [asdict(sp) for sp in llc.streams],
-            "stats": [(c.stats.accesses, c.stats.hits)
-                      for c in (h.l1, h.l2, h.llc)],
-            "telemetry": _cache_counters(registry),
-        }
-    assert results["fast"] == results["reference"]
-
-    # end-to-end: identical cycle results from both model families
-    walk_cache().clear()
-    base_fast = run_baseline(trace, m_fast)
-    walk_cache().clear()
-    base_ref = run_baseline(trace, m_ref)
-    assert base_fast.cycles == base_ref.cycles
-    assert asdict(base_fast.breakdown) == asdict(base_ref.breakdown)
+    fast = _walk_everything(trace)
+    calls = reference_walk()
+    ref = _walk_everything(trace)
+    assert calls, "the walk never reached stackdist.hit_mask"
+    assert fast == ref
 
 
-def test_fuzzed_traces_walk_parity():
+def test_fuzzed_traces_walk_parity(reference_walk):
     """Randomized multi-stream traces through the full hierarchy walk:
-    fast and reference machines agree on every profile field."""
+    stack distance and the reference ``Cache`` agree on every profile
+    field."""
     rng = np.random.default_rng(FUZZ_SEED ^ 0xC0FFEE)
-    from repro.sim.trace import AccessStream
-
+    traces = []
     for _rep in range(10):
         streams = []
         for i in range(int(rng.integers(1, 5, 1)[0])):
             n = int(rng.integers(1, 4000, 1)[0])
             kind = "write" if rng.random() < 0.25 else "read"
             addrs = rng.integers(0, 1 << 22, n) * 8
-            streams.append(AccessStream(addresses=addrs, elem_bytes=8,
-                                        kind=kind, label=f"s{i}",
-                                        dependent=bool(rng.random() < .5),
-                                        gather=bool(rng.random() < .3)))
-        trace = KernelTrace(name="fuzz", streams=streams)
-        m_fast, m_ref = _machines()
-        walk_cache().clear()
-        pf = MemoryHierarchy(m_fast).profile(trace)
-        walk_cache().clear()
-        pr = MemoryHierarchy(m_ref).profile(trace)
-        assert [asdict(a) for a in pf.streams] == \
-               [asdict(b) for b in pr.streams]
+            streams.append(
+                AccessStream(
+                    addresses=addrs,
+                    elem_bytes=8,
+                    kind=kind,
+                    label=f"s{i}",
+                    dependent=bool(rng.random() < 0.5),
+                    gather=bool(rng.random() < 0.3),
+                )
+            )
+        traces.append(KernelTrace(name="fuzz", streams=streams))
+    fast = [_walk_everything(t) for t in traces]
+    reference_walk()
+    assert [_walk_everything(t) for t in traces] == fast
