@@ -1,8 +1,8 @@
 """Micro-benchmark harness: per-component speedup gates.
 
 Unlike the figure-level benchmarks one directory up, these tests time
-*individual hot paths* (cache lookup, arbiter touch recording, operand
-marshaling) and gate the fast-path/reference-path **ratio** against
+*individual hot paths* (today the stack-distance hit classification
+against the reference cache) and gate the fast-path/reference-path **ratio** against
 ``benchmarks/baselines/micro.json``.  Ratios compare two in-process
 code paths under identical load, so they are machine-independent in a
 way absolute timings are not — a noisy container slows both sides.

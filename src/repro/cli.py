@@ -7,7 +7,7 @@ Usage::
     python -m repro fig10 --workloads spmv,spkadd --jobs 2 --no-cache
     python -m repro fig13 --telemetry run.json   # write a perf snapshot
     python -m repro stats dump run.json          # inspect a snapshot
-    python -m repro stats diff base.json run.json --max-regression 0.2
+    python -m repro stats diff base.json run.json --changed-only
     python -m repro fig13 --trace trace.json     # record an event timeline
     python -m repro trace record fig13 --out trace.json --sample 4
     python -m repro trace export trace.json      # Perfetto-loadable JSON
@@ -33,9 +33,9 @@ processes, and every invocation writes a run manifest (task hashes,
 wall times, cache hits, failures) next to the cache.
 
 ``--telemetry PATH`` enables the :mod:`repro.obs` layer for the run and
-writes a schema-versioned perf snapshot to PATH; ``stats`` dumps,
-diffs, and regression-gates such snapshots (the ``bench-smoke`` CI job
-is built from exactly these two pieces).
+writes a schema-versioned perf snapshot to PATH; ``stats`` dumps and
+diffs such snapshots (informational; the regression gate is ``query
+regressions``).
 
 ``--trace [PATH]`` additionally records an event timeline
 (:mod:`repro.obs.tracing`) and writes a ``repro.trace/1`` JSON file;
@@ -336,8 +336,7 @@ def _trace_main(argv: list[str]) -> int:
 def _build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmu-repro stats",
-        description="Dump, diff and regression-gate repro.obs perf "
-                    "snapshots.",
+        description="Dump and diff repro.obs perf snapshots.",
     )
     sub = parser.add_subparsers(dest="action", required=True)
 
@@ -354,27 +353,6 @@ def _build_stats_parser() -> argparse.ArgumentParser:
     diff.add_argument("run", help="run snapshot JSON file")
     diff.add_argument("--changed-only", action="store_true",
                       help="hide metrics with a zero delta")
-    diff.add_argument(
-        "--metric",
-        default="runtime.executor.cells_per_sec",
-        metavar="NAME",
-        help="headline metric for --max-regression (default: "
-             "runtime.executor.cells_per_sec)",
-    )
-    diff.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="exit non-zero if the run's --metric regressed vs the "
-             "baseline by more than FRAC (e.g. 0.2 = 20%%)",
-    )
-    diff.add_argument(
-        "--lower-is-better",
-        action="store_true",
-        help="treat increases of --metric as regressions (cycle or "
-             "byte counts rather than rates)",
-    )
     return parser
 
 
@@ -392,16 +370,6 @@ def _stats_main(argv: list[str]) -> int:
         run = obs.load_snapshot(args.run)
         print(obs.render_diff(obs.diff_snapshots(baseline, run),
                               changed_only=args.changed_only))
-        if args.max_regression is not None:
-            ok, message = obs.check_regression(
-                run, baseline,
-                metric=args.metric,
-                max_regression=args.max_regression,
-                higher_is_better=not args.lower_is_better,
-            )
-            print(message)
-            if not ok:
-                return 1
         return 0
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

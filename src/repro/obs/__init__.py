@@ -89,7 +89,6 @@ from .tracing import (
 from .snapshot import (
     SCHEMA,
     bench_rev,
-    check_regression,
     current_rev,
     diff_snapshots,
     load_snapshot,
@@ -129,7 +128,6 @@ __all__ = [
     "diff_snapshots",
     "render_diff",
     "render_snapshot",
-    "check_regression",
     "current_rev",
     "bench_rev",
     "worktree_dirty",

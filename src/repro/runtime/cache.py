@@ -2,8 +2,9 @@
 
 Records are JSON files named ``<sha256>.json`` under the cache root;
 the hash covers the full task spec *and* a code-version salt
-(:data:`repro.runtime.task.CODE_SALT`), so a model change or record
-schema bump silently misses instead of serving stale results.
+(:data:`repro.runtime.task.CODE_SALT`, which digests the package's
+sources), so a code change or record schema bump silently misses
+instead of serving stale results.
 :meth:`ResultCache.gc` reclaims those orphaned entries.
 
 Both cache classes are safe for concurrent readers and writers within

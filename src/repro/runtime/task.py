@@ -10,12 +10,13 @@ execution transparent to every figure/table driver.
 
 Two persistent caches layer under a task, keyed independently: the
 *result* cache stores a cell's full record under its content hash
-(salted with :data:`CODE_SALT`, so any model-code change invalidates
-it), while the *walk* cache (:class:`repro.runtime.cache.WalkStore`)
-stores raw hierarchy-walk outcomes keyed purely by cache geometry and
-stream bytes — a walk is a pure function of those inputs, so it
-survives code changes that only touch the timing model, and a cell
-that misses the result cache can still reuse its walks.
+(salted with :data:`CODE_SALT`, which digests every ``*.py`` source of
+the package, so any code change invalidates it), while the *walk* cache
+(:class:`repro.runtime.cache.WalkStore`) stores raw hierarchy-walk
+outcomes keyed purely by cache geometry and stream bytes — a walk is a
+pure function of those inputs, so it survives code changes that only
+touch the timing model, and a cell that misses the result cache can
+still reuse its walks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 from .. import __version__
 from ..config import (
@@ -42,8 +44,25 @@ from ..sim.machine import SystemResult
 #: semantics change; stale cache entries are invalidated by the salt.
 RESULT_SCHEMA_VERSION = 1
 
-#: the code-version salt mixed into every content hash.
-CODE_SALT = f"repro/{__version__}/schema-{RESULT_SCHEMA_VERSION}"
+
+def source_digest(root: Path) -> str:
+    """sha256 over every ``*.py`` file under ``root``: relative path,
+    length and bytes, in sorted path order."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+                 .encode("utf-8"))
+        h.update(data)
+    return h.hexdigest()
+
+
+#: the code-version salt mixed into every content hash: the package
+#: version, the record schema and a digest of the package's sources.
+CODE_SALT = (
+    f"repro/{__version__}/schema-{RESULT_SCHEMA_VERSION}/"
+    f"src-{source_digest(Path(__file__).resolve().parents[1])[:16]}"
+)
 
 #: the system variants a task may evaluate.
 KNOWN_VARIANTS = ("baseline", "tmu", "single_lane", "imp")

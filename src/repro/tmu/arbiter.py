@@ -38,24 +38,12 @@ class StreamRequestLog:
     last_line: int = -1
     lines: list[int] = field(default_factory=list)
 
-    def record(self, address: int) -> bool:
-        """Log one element touch; True when it opened a new line
-        request (an arbiter grant)."""
-        self.touches += 1
-        line = address // LINE_BYTES
-        if line != self.last_line:
-            self.lines.append(line)
-            self.last_line = line
-            return True
-        return False
-
     def record_batch(self, addresses: list[int]) -> None:
-        """Log a fiber's worth of touches at once.
+        """Log a fiber's worth of element touches, in touch order.
 
-        Equivalent to calling :meth:`record` per address (consecutive
-        same-line dedup included) — only the bookkeeping is vectorized;
-        per-stream touch order, the sole ordering the request streams
-        depend on, is preserved."""
+        A touch opens a new line request (an arbiter grant) when its
+        line differs from the stream's previous touch, across batches
+        too; long batches dedup with NumPy, short ones in a loop."""
         n = len(addresses)
         if n == 0:
             return
@@ -98,30 +86,22 @@ class MemoryArbiter:
             label=stream.name,
         )
 
-    def record_touch(self, tu: TraversalUnit, stream: Stream,
-                     address: int) -> None:
-        log = self._logs.get(stream)
-        if log is None:
-            self.register(tu, stream)
-            log = self._logs[stream]
-        granted = log.record(address)
-        if granted and self.tracer is not None:
-            self.tracer.instant("tmu.arbiter", "grant", args={
-                "stream": log.label,
-                "layer": log.layer,
-                "lane": log.lane,
-            })
-
     def record_touches(self, tu: TraversalUnit, stream: Stream,
                        addresses: list[int]) -> None:
-        """Batched :meth:`record_touch`: one fiber's addresses for one
-        stream.  Used on the untraced fast path (per-grant trace
-        instants need the per-touch entry point)."""
+        """Log one fiber's touches for one stream.  While tracing, emit
+        one ``grant`` instant per new line request, stamped at flush
+        time."""
         log = self._logs.get(stream)
         if log is None:
             self.register(tu, stream)
             log = self._logs[stream]
+        before = len(log.lines)
         log.record_batch(addresses)
+        if self.tracer is not None:
+            args = {"stream": log.label, "layer": log.layer,
+                    "lane": log.lane}
+            for _ in range(len(log.lines) - before):
+                self.tracer.instant("tmu.arbiter", "grant", args=args)
 
     # -- reporting ----------------------------------------------------
 

@@ -5,7 +5,10 @@ executed layer by layer (recursively — outQ serialization across TGs in
 loop-nest order falls out by construction, Section 5.3), TUs produce
 stream slots, TGs merge/co-iterate lanes, callbacks fire in program
 order with their marshaled operands, and the arbiter logs every memory
-touch at cache-line granularity.
+touch at cache-line granularity.  There is one path whether or not
+tracing is on: TUs buffer each fiber's touches and flush them to
+:meth:`MemoryArbiter.record_touches`, and every callback's operands
+come from a resolver compiled once per run.
 
 The engine is the golden reference for the fast analytic models in
 :mod:`repro.programs`: tests assert that iteration counts, merge steps,
@@ -20,7 +23,6 @@ from typing import Callable
 from .. import obs
 from ..config import TMUConfig
 from ..errors import TMUConfigError, TMURuntimeError
-from ..sim.trace import AccessStream
 from .arbiter import MemoryArbiter
 from .outq import MaskValue, OutQueue, OutQueueRecord
 from .program import (
@@ -68,8 +70,7 @@ class TmuEngine:
     """Execute a TMU program functionally, collecting statistics."""
 
     def __init__(self, program: Program,
-                 config: TMUConfig | None = None,
-                 *, collect_records: bool = True) -> None:
+                 config: TMUConfig | None = None) -> None:
         program.validate()
         self.program = program
         self.config = config or TMUConfig()
@@ -92,7 +93,6 @@ class TmuEngine:
                                   self.config.per_lane_storage_bytes)
         self.arbiter = MemoryArbiter()
         self.outq = OutQueue(self.config.outq_chunk_bytes)
-        self.collect_records = collect_records
         self.groups: list[TraversalGroup] = [
             layer.build_group() for layer in program.layers
         ]
@@ -101,67 +101,14 @@ class TmuEngine:
         self._tracer = obs.NULL_TRACER
         self._tracing = False
         self._trace_run_start = 0
-        #: TUs buffer touches per fiber and flush them in batches when
-        #: set; ``run()`` derives it from ``batch_touches_enabled``,
-        #: clearing it while tracing (per-grant instants need the
-        #: per-touch path).  Flip ``batch_touches_enabled`` off to force
-        #: the per-touch reference path (equivalence tests, benchmarks).
-        self.batch_touches = True
-        self.batch_touches_enabled = True
-        self._resolvers: dict[tuple[int, int], Callable] = {}
         self._layer_callbacks: list[tuple[list, list, list]] = []
-
-    # -- hooks -----------------------------------------------------------
-
-    def record_memory_touch(self, tu: TraversalUnit, stream: Stream,
-                            address: int) -> None:
-        self.arbiter.record_touch(tu, stream, address)
-
-    def record_touch_batch(self, tu: TraversalUnit, stream: Stream,
-                           addresses: list[int]) -> None:
-        self.arbiter.record_touches(tu, stream, addresses)
 
     # -- operand resolution ------------------------------------------------
 
-    def _resolve_operands(self, callback: Callback, layer_idx: int,
-                          step: GroupStep | None,
-                          envs: list[dict[Stream, object]],
-                          active_mask: int) -> tuple:
-        resolved = []
-        first_lane = (active_mask & -active_mask).bit_length() - 1
-        for operand in callback.operands:
-            if isinstance(operand, MaskOperand):
-                resolved.append(MaskValue(step.mask if step else 0))
-            elif isinstance(operand, IndexOperand):
-                resolved.append(step.index if step else -1)
-            elif isinstance(operand, VectorOperand):
-                values = []
-                for s in operand.streams:
-                    lane = s.tu.lane if s.tu else 0
-                    slot = step.slots[lane] if step else None
-                    values.append(slot[s] if slot is not None else 0.0)
-                resolved.append(tuple(values))
-            elif isinstance(operand, ScalarOperand):
-                s = operand.stream
-                if s.tu is not None and s.tu.layer == layer_idx and step:
-                    slot = step.slots[s.tu.lane]
-                    resolved.append(slot[s] if slot is not None else 0.0)
-                else:
-                    env = envs[first_lane] if envs else {}
-                    if s not in env:
-                        raise TMURuntimeError(
-                            f"operand {s.name} not available at layer "
-                            f"{layer_idx}"
-                        )
-                    resolved.append(env[s])
-            else:  # pragma: no cover - exhaustive
-                raise TMURuntimeError(f"unknown operand {operand!r}")
-        return tuple(resolved)
-
     def _compile_operand(self, operand, layer_idx: int) -> Callable:
         """One closure computing this operand from (step, envs, first
-        active lane) — the per-``_fire`` isinstance ladder of
-        :meth:`_resolve_operands` hoisted to ``run()`` time."""
+        active lane): the isinstance dispatch on operand type happens
+        once at ``run()`` time, not per fire."""
         if isinstance(operand, MaskOperand):
             return lambda step, envs, first: MaskValue(
                 step.mask if step is not None else 0)
@@ -233,36 +180,21 @@ class TmuEngine:
             [p(step, envs, first) for p in parts])
 
     def _compile_resolvers(self) -> None:
-        """Precompile one operand-resolver per (layer, callback) so
-        ``_fire`` runs a flat tuple build instead of re-dispatching on
-        operand types every record; also snapshot the per-event callback
-        lists ``Layer.callbacks_for`` would otherwise rebuild per
-        activation, pairing each callback with its resolver."""
-        self._resolvers = {}
-        self._layer_callbacks = []
-        for layer_idx, layer in enumerate(self.program.layers):
-            per_event = []
-            for event in (Event.GBEG, Event.GITE, Event.GEND):
-                pairs = []
-                for cb in layer.callbacks_for(event):
-                    resolver = self._compile_callback(cb, layer_idx)
-                    self._resolvers[(layer_idx, id(cb))] = resolver
-                    pairs.append((cb, resolver))
-                per_event.append(pairs)
-            self._layer_callbacks.append(tuple(per_event))
+        """Snapshot each layer's per-event callback lists, pairing every
+        callback with its compiled operand resolver."""
+        self._layer_callbacks = [
+            tuple([(cb, self._compile_callback(cb, layer_idx))
+                   for cb in layer.callbacks_for(event)]
+                  for event in (Event.GBEG, Event.GITE, Event.GEND))
+            for layer_idx, layer in enumerate(self.program.layers)
+        ]
 
     def _fire(self, callback: Callback, layer_idx: int,
               step: GroupStep | None,
               envs: list[dict[Stream, object]], active_mask: int,
-              resolver: Callable | None = None) -> None:
-        if resolver is None:
-            resolver = self._resolvers.get((layer_idx, id(callback)))
-        if resolver is not None:
-            first = (active_mask & -active_mask).bit_length() - 1
-            operands = resolver(step, envs, first)
-        else:  # direct _fire outside run(): reference resolution
-            operands = self._resolve_operands(callback, layer_idx, step,
-                                              envs, active_mask)
+              resolver: Callable) -> None:
+        first = (active_mask & -active_mask).bit_length() - 1
+        operands = resolver(step, envs, first)
         record = OutQueueRecord(
             callback_id=callback.callback_id,
             operands=operands,
@@ -270,8 +202,6 @@ class TmuEngine:
             layer=layer_idx,
         )
         self.outq.push(record)
-        if not self.collect_records:
-            self.outq.records.clear()
         self._stats.callback_counts[callback.callback_id] = (
             self._stats.callback_counts.get(callback.callback_id, 0) + 1
         )
@@ -311,8 +241,6 @@ class TmuEngine:
         self._trace_run_start = tracer.now
         self.arbiter.tracer = tracer if self._tracing else None
         self.outq.tracer = tracer if self._tracing else None
-        self.batch_touches = self.batch_touches_enabled and not (
-            self._tracing)
         self._compile_resolvers()
         self._run_layer(0, None, None,
                         [dict() for _ in range(self.program.lanes)])
@@ -320,15 +248,14 @@ class TmuEngine:
         # so their buffered touches drain here
         for group in self.groups:
             for tu in group.tus:
-                tu.flush_touches(self)
+                tu.flush_touches(self.arbiter)
 
         stats = self._stats
         for idx, group in enumerate(self.groups):
             stats.layer_iterations[idx] = sum(
                 tu.iterations for tu in group.tus)
             stats.layer_merge_steps[idx] = group.merge_steps
-        stats.outq_records = self.outq.num_records if (
-            self.collect_records) else sum(stats.callback_counts.values())
+        stats.outq_records = self.outq.num_records
         stats.outq_bytes = self.outq.total_bytes
         stats.outq_chunks = self.outq.num_chunks
         stats.memory_touches = self.arbiter.total_touches
@@ -490,9 +417,3 @@ class TmuEngine:
 
         if tracing:
             tracer.span(track, "activation", t0, tracer.now - t0)
-
-    # -- exported traces ------------------------------------------------------
-
-    def access_streams(self) -> list[AccessStream]:
-        """Ordered line-request streams for the timing model."""
-        return self.arbiter.access_streams()

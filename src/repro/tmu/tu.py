@@ -37,6 +37,7 @@ from .streams import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .arbiter import MemoryArbiter
     from .engine import TmuEngine
 
 
@@ -224,8 +225,8 @@ class TraversalUnit:
         ``peek`` resolves each non-ite stream through one precompiled
         ``(op, stream, src, touch_buf)`` tuple instead of re-walking the
         isinstance ladder every iteration.  ``touch_buf`` is a per-stream
-        address buffer (non-None only for streams that touch memory) the
-        engine drains per fiber via :meth:`flush_touches`."""
+        address buffer (non-None only for streams that touch memory),
+        drained to the arbiter per fiber via :meth:`flush_touches`."""
         plan: list[tuple] = []
         self._touch_entries = []
         for stream in self.streams[1:]:
@@ -254,11 +255,11 @@ class TraversalUnit:
                 self._plan_len:
             self._free.append(slot)
 
-    def flush_touches(self, engine: "TmuEngine") -> None:
-        """Hand the buffered per-stream memory touches to the engine."""
+    def flush_touches(self, arbiter: "MemoryArbiter") -> None:
+        """Hand the buffered per-stream memory touches to the arbiter."""
         for stream, buf in self._touch_entries:
             if buf:
-                engine.record_touch_batch(self, stream, buf)
+                arbiter.record_touches(self, stream, buf)
                 buf.clear()
 
     def begin(self, beg_value: int, end_value: int,
@@ -294,7 +295,7 @@ class TraversalUnit:
             self.state = TuState.FEND
             self.control_tokens += 1  # the `1` end token
             if engine is not None:
-                self.flush_touches(engine)
+                self.flush_touches(engine.arbiter)
             if self._trace_t0 is not None:
                 tracer = obs.tracer()
                 fiber_len = self.iterations - self._trace_it0
@@ -315,8 +316,6 @@ class TraversalUnit:
         else:
             values = [cur] * self._plan_len
             slot = Slot(self.streams, values)
-        batch = engine is not None and getattr(
-            engine, "batch_touches", False)
         for i, (op, stream, src, buf) in enumerate(self._plan, 1):
             if op == _OP_FWD:
                 values[i] = self._fwd_values.get(src)
@@ -336,10 +335,7 @@ class TraversalUnit:
             if buf is not None and engine is not None:
                 addr = stream.touched_address(x)
                 if addr is not None:
-                    if batch:
-                        buf.append(addr)
-                    else:
-                        engine.record_memory_touch(self, stream, addr)
+                    buf.append(addr)
         self._head = slot
         self.control_tokens += 1  # the `0` iteration token
         return self._head

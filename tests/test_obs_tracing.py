@@ -18,6 +18,7 @@ from repro.obs.tracing import (
     validate_trace,
     write_trace,
 )
+from tests.test_tmu_engine import _builders
 
 
 @pytest.fixture(autouse=True)
@@ -381,3 +382,22 @@ class TestTracingParity:
         assert tr.events
         assert any(untraced["layer_merge_steps"])
         assert traced == untraced
+
+    @pytest.mark.parametrize("kernel", sorted(_builders()))
+    def test_engine_run_stats(self, kernel):
+        """Equal RunStats traced or not on every Table 4 kernel, and one
+        arbiter ``grant`` instant per line request."""
+        from dataclasses import asdict
+
+        from repro.tmu.engine import TmuEngine
+
+        built = _builders()[kernel]()
+        untraced = asdict(TmuEngine(built.program).run(built.handlers))
+        built = _builders()[kernel]()
+        with obs.trace_capture() as tr:
+            traced = asdict(TmuEngine(built.program).run(built.handlers))
+        assert tr.dropped == 0
+        assert untraced["memory_lines"] > 0
+        assert traced == untraced
+        grants = [e for e in tr.events if e[3] == "tmu.arbiter" and e[4] == "grant"]
+        assert len(grants) == untraced["memory_lines"]

@@ -131,6 +131,41 @@ class TestResultCache:
         cache.put(task, {"salt": "repro/0.0.0/schema-0"})
         assert cache.get(task) is None
 
+    def test_changed_code_salt_misses(self, cache, monkeypatch):
+        from repro.runtime import cache as cache_mod
+        from repro.runtime import task as task_mod
+
+        old = SimTask("spmv", "M1")
+        cache.put(old, {"salt": CODE_SALT, "fake": True})
+        assert cache.get(old) is not None
+        changed = CODE_SALT + "-changed"
+        monkeypatch.setattr(task_mod, "CODE_SALT", changed)
+        monkeypatch.setattr(cache_mod, "CODE_SALT", changed)
+        new = SimTask("spmv", "M1")
+        assert new.content_hash() != old.content_hash()
+        assert cache.get(new) is None
+        # the old entry, read at its old path, is stale under the new salt
+        assert cache.get(old) is None
+
+    def test_code_salt_digests_the_package_sources(self, tmp_path):
+        from pathlib import Path
+
+        import repro
+        from repro.runtime.task import source_digest
+
+        root = Path(repro.__file__).resolve().parent
+        assert CODE_SALT.endswith(f"/src-{source_digest(root)[:16]}")
+        pkg = tmp_path / "pkg"
+        (pkg / "sub").mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n")
+        (pkg / "sub" / "b.py").write_text("y = 2\n")
+        (pkg / "notes.txt").write_text("not source")
+        base = source_digest(pkg)
+        (pkg / "notes.txt").write_text("still not source")
+        assert source_digest(pkg) == base
+        (pkg / "sub" / "b.py").write_text("y = 3\n")
+        assert source_digest(pkg) != base
+
     def test_corrupt_entry_is_dropped_not_fatal(self, cache):
         task = SimTask("spmv", "M1")
         cache.path_for(task).write_text("truncated{")

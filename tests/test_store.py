@@ -371,6 +371,19 @@ class TestQueries:
         rows, _, ok = regressions(store, baseline="best", bound=0.2)
         assert ok is False
 
+    def test_regression_lower_is_better_flips_direction(self, store):
+        self._trajectory(store)
+        # 6.0 -> 16.0 is a gain for a rate but a regression for a cost
+        rows, _, ok = regressions(store, bound=0.2, lower_is_better=True)
+        assert ok is False
+        assert rows[-1]["status"] == "REGRESSION"
+        assert rows[-1]["change"] == pytest.approx(1.6667)
+
+    def test_regression_on_a_missing_metric_raises(self, store):
+        self._trajectory(store)
+        with pytest.raises(StoreError, match="carries 'nonexistent'"):
+            regressions(store, metric="nonexistent")
+
     def test_regression_unknown_rev_raises(self, store):
         self._trajectory(store)
         with pytest.raises(StoreError, match="no run with rev"):

@@ -1,5 +1,6 @@
-"""Engine semantics tests: ordering, hierarchy, env resolution, and
-RunStats parity between the batched and per-touch arbiter paths."""
+"""Engine semantics tests: ordering, hierarchy and env resolution, plus
+``_builders()``, one small program per Table 4 kernel, shared with the
+tracing-parity tests."""
 
 import numpy as np
 import pytest
@@ -174,15 +175,8 @@ class TestRuntimeGuards:
         with pytest.raises(TMUConfigError):
             TmuEngine(prog, TMUConfig(layers=1))
 
-    def test_collect_records_off_still_counts(self):
-        prog = two_layer_program(rows=2, cols_per_row=2)
-        engine = TmuEngine(prog, collect_records=False)
-        stats = engine.run()
-        assert stats.outq_records == 10  # all callbacks counted
-        assert len(engine.outq.records) == 0
 
-
-# ------------------------------------------------ batched vs per-touch
+# ------------------------------------------------ Table 4 kernel programs
 
 
 def _builders():
@@ -215,35 +209,3 @@ def _builders():
         ),
     }
 
-
-def _stats_dict(stats) -> dict:
-    return {
-        "layer_iterations": stats.layer_iterations,
-        "layer_merge_steps": stats.layer_merge_steps,
-        "layer_activations": stats.layer_activations,
-        "outq_records": stats.outq_records,
-        "outq_bytes": stats.outq_bytes,
-        "outq_chunks": stats.outq_chunks,
-        "memory_touches": stats.memory_touches,
-        "memory_lines": stats.memory_lines,
-        "memory_bytes": stats.memory_bytes,
-        "callback_counts": stats.callback_counts,
-    }
-
-
-@pytest.mark.parametrize("kernel", sorted(_builders()))
-def test_runstats_identical_batched_vs_per_touch(kernel):
-    """The slot-free engine's RunStats must not depend on whether memory
-    touches take the batched per-fiber path or the per-touch reference
-    path — on every Table 4 kernel program."""
-    builders = _builders()
-    batched_built = builders[kernel]()
-    engine = TmuEngine(batched_built.program)
-    batched = _stats_dict(engine.run(batched_built.handlers))
-
-    reference_built = builders[kernel]()
-    engine = TmuEngine(reference_built.program)
-    engine.batch_touches_enabled = False
-    reference = _stats_dict(engine.run(reference_built.handlers))
-
-    assert batched == reference

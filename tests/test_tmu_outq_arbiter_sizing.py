@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TMUConfigError
-from repro.tmu.arbiter import MemoryArbiter
+from repro.obs import Tracer
+from repro.tmu.arbiter import LINE_BYTES, MemoryArbiter
 from repro.tmu.outq import MaskValue, OutQueue, OutQueueRecord
 from repro.tmu.sizing import MIN_ENTRIES, size_queues
 from repro.tmu.streams import MemoryArray
@@ -49,8 +52,8 @@ class TestArbiter:
     def test_consecutive_same_line_coalesces(self):
         arb = MemoryArbiter()
         tu, stream, arr = self._tu_with_streams(0, 0)
-        for i in range(8):  # 8 elements x 8 B = one cache line
-            arb.record_touch(tu, stream, arr.address_of(i))
+        # 8 elements x 8 B = one cache line
+        arb.record_touches(tu, stream, [arr.address_of(i) for i in range(8)])
         assert arb.total_touches == 8
         assert arb.total_line_requests == 1
         assert arb.total_bytes() == 64
@@ -58,9 +61,8 @@ class TestArbiter:
     def test_line_revisits_are_new_requests(self):
         arb = MemoryArbiter()
         tu, stream, arr = self._tu_with_streams(0, 0)
-        arb.record_touch(tu, stream, arr.address_of(0))
-        arb.record_touch(tu, stream, (1 << 31))
-        arb.record_touch(tu, stream, arr.address_of(0))
+        arb.record_touches(tu, stream, [arr.address_of(0), 1 << 31,
+                                        arr.address_of(0)])
         assert arb.total_line_requests == 3
 
     def test_priority_order(self):
@@ -68,8 +70,8 @@ class TestArbiter:
         arb = MemoryArbiter()
         tu1, s1, a1 = self._tu_with_streams(1, 0)
         tu0, s0, a0 = self._tu_with_streams(0, 0)
-        arb.record_touch(tu1, s1, a1.address_of(0))
-        arb.record_touch(tu0, s0, a0.address_of(0))
+        arb.record_touches(tu1, s1, [a1.address_of(0)])
+        arb.record_touches(tu0, s0, [a0.address_of(0)])
         order = arb.priority_order()
         assert order[0].layer == 0
         assert order[1].layer == 1
@@ -77,11 +79,59 @@ class TestArbiter:
     def test_access_streams_export(self):
         arb = MemoryArbiter()
         tu, stream, arr = self._tu_with_streams(0, 0)
-        arb.record_touch(tu, stream, arr.address_of(0))
+        arb.record_touches(tu, stream, [arr.address_of(0)])
         exported = arb.access_streams()
         assert len(exported) == 1
         assert exported[0].elem_bytes == 64
         assert exported[0].kind == "read"
+
+
+def _per_address_reference(batches):
+    """The arbiter's contract written out one touch at a time: a touch
+    opens a line request when its line differs from the previous touch
+    of the same stream, batch boundaries notwithstanding."""
+    touches, lines, last = 0, [], -1
+    for batch in batches:
+        for address in batch:
+            touches += 1
+            line = address // LINE_BYTES
+            if line != last:
+                lines.append(line)
+                last = line
+    return touches, lines, last
+
+
+# addresses over a few lines, so runs, revisits and cross-batch
+# carry-over of the last line are all common; batch sizes straddle the
+# vectorized (n >= 32) and looped sides of StreamRequestLog.record_batch
+_BATCHES = st.lists(
+    st.lists(st.integers(0, 6 * LINE_BYTES - 1), max_size=80),
+    max_size=6)
+
+
+class TestRecordTouchesParity:
+    @given(_BATCHES)
+    @example([[0] * 40, [8] * 40])      # long batch continuing a line
+    @example([[0] * 40, [8, 64, 0]])    # short batch after a long one
+    @example([[64, 0], [0] * 33 + [64] * 2])  # revisit, then long
+    @settings(max_examples=150, deadline=None)
+    def test_batches_match_per_address_loop(self, batches):
+        tu = TraversalUnit(0, 0, PrimitiveKind.DENSE, beg=0, end=8)
+        arr = MemoryArray(np.zeros(8), 0, 8, "a")
+        stream = tu.add_mem_stream(arr)
+        arb = MemoryArbiter()
+        arb.register(tu, stream)
+        arb.tracer = Tracer()
+        for batch in batches:
+            arb.record_touches(tu, stream, batch)
+        touches, lines, last = _per_address_reference(batches)
+        (log,) = arb.priority_order()
+        assert log.touches == touches
+        assert log.lines == lines
+        assert log.last_line == last
+        # one grant instant per new line request
+        grants = [e for e in arb.tracer.events if e[4] == "grant"]
+        assert len(grants) == len(lines)
 
 
 class TestSizing:
