@@ -326,7 +326,8 @@ def fig14_sensitivity(scale: str = "small",
     SVE width ties the lane count (512 bits ↔ 8 lanes); each cell is
     the TMU system's absolute performance (inverse cycles) normalized
     to the evaluated (16 KB, 512 bit) configuration, as in the paper's
-    heatmap.
+    heatmap.  The figure plots the TMU system alone, so its cells
+    evaluate only the ``tmu`` variant.
     """
     base = experiment_machine(scale)
     # Declare the whole (storage × width × workload × input) sweep up
@@ -342,7 +343,8 @@ def fig14_sensitivity(scale: str = "small",
                 )
                 for input_id in inputs_for(workload):
                     tasks[(workload, kb, bits, input_id)] = SimTask(
-                        workload, input_id, scale=scale, machine=machine)
+                        workload, input_id, scale=scale, variants=("tmu",),
+                        machine=machine)
     runs = _submit(list(tasks.values()))
 
     out: dict[str, np.ndarray] = {}

@@ -37,6 +37,7 @@ from ..kernels.spmspm import characterize_spmspm
 from ..kernels.spmv import characterize_spmv
 from ..kernels.sptc import characterize_sptc
 from ..kernels.triangle import characterize_triangle, lower_triangle
+from ..memo import identity_memo
 from ..programs.cpals import cpals_runs
 from ..programs import (
     cpals_timing_model,
@@ -111,27 +112,14 @@ class Workload:
     composite: Callable[..., tuple] | None = None
 
 
-def _identity_memo(fn):
-    """Memoize a derived-operand builder by input identity — suite
-    inputs are themselves memoized, so identities are stable, and
-    architecture sweeps (Figure 14) rebuild the same operands dozens of
-    times otherwise."""
-    memo: dict[tuple, object] = {}
-
-    def wrapper(a):
-        key = (id(a), getattr(a, "nnz", None))
-        if key not in memo:
-            memo[key] = fn(a)
-        return memo[key]
-
-    return wrapper
-
-
-_transposed = _identity_memo(lambda a: a.transpose())
-_lower = _identity_memo(lower_triangle)
-_split = _identity_memo(lambda a: split_rows_cyclic(a, SPKADD_K))
-_csf_ikl = _identity_memo(coo_to_csf)
-_csf_lki = _identity_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
+# Derived operands, memoized by input identity — suite inputs are
+# themselves memoized, and architecture sweeps (Figure 14) ask for the
+# same operands once per machine variant.
+_transposed = identity_memo(lambda a: a.transpose())
+_lower = identity_memo(lower_triangle)
+_split = identity_memo(lambda a: split_rows_cyclic(a, SPKADD_K))
+_csf_ikl = identity_memo(coo_to_csf)
+_csf_lki = identity_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -194,7 +182,7 @@ WORKLOADS: dict[str, Workload] = {
     # SpAdd appears only in the Figure 3 motivation study.
     "spadd": Workload(
         "spadd", "SpAdd", "merge", "matrix",
-        baseline=lambda a, m: characterize_spadd(a, a.transpose(), m),
+        baseline=lambda a, m: characterize_spadd(a, _transposed(a), m),
         tmu_model=lambda a, m: None,
         needs_merge=True,
     ),
@@ -221,21 +209,26 @@ class WorkloadRun:
 
     workload: str
     input_id: str
-    baseline: SystemResult
+    baseline: SystemResult | None = None
     tmu: SystemResult | None = None
     single_lane: SystemResult | None = None
     imp: SystemResult | None = None
 
     @property
     def speedup(self) -> float:
-        return self.baseline.cycles / self.tmu.cycles if self.tmu else 0.0
+        if self.baseline is None or self.tmu is None:
+            raise WorkloadError(
+                f"{self.workload}/{self.input_id}: a speedup needs both "
+                "the baseline and the tmu variant"
+            )
+        return self.baseline.cycles / self.tmu.cycles
 
 
 @lru_cache(maxsize=None)
 def _load_order3(input_id: str, scale: str):
     # Folding an order-n tensor builds a fresh object; memoizing here
     # keeps input identity stable across cells, which the
-    # ``_identity_memo`` derived-operand caches above key on.
+    # derived-operand memos above key on.
     return as_order3(load_tensor(input_id, scale))
 
 
@@ -253,7 +246,9 @@ def run_workload(workload_id: str, input_id: str,
     """Run one workload on one input under one machine, memoized.
 
     ``variants`` selects which systems to evaluate: ``baseline``,
-    ``tmu``, ``single_lane``, ``imp``.
+    ``tmu``, ``single_lane``, ``imp``.  Only the declared variants are
+    computed (a multi-phase ``composite`` workload computes both of its
+    systems together and keeps the declared ones).
     """
     if workload_id not in WORKLOADS:
         raise WorkloadError(
@@ -261,20 +256,19 @@ def run_workload(workload_id: str, input_id: str,
         )
     spec = WORKLOADS[workload_id]
     data = _load_input(spec, input_id, scale)
+    run = WorkloadRun(workload=workload_id, input_id=input_id)
     if spec.composite is not None:
         base, tmu = spec.composite(data, machine, SAMPLE_WINDOW)
-        run = WorkloadRun(workload=workload_id, input_id=input_id,
-                          baseline=base)
+        if "baseline" in variants:
+            run.baseline = base
         if "tmu" in variants:
             run.tmu = tmu
         return run
-    trace = spec.baseline(data, machine)
-    run = WorkloadRun(
-        workload=workload_id,
-        input_id=input_id,
-        baseline=run_baseline(trace, machine,
-                              sample_window=SAMPLE_WINDOW),
-    )
+    trace = spec.baseline(data, machine) if (
+        "baseline" in variants or "imp" in variants) else None
+    if "baseline" in variants:
+        run.baseline = run_baseline(trace, machine,
+                                    sample_window=SAMPLE_WINDOW)
     model = spec.tmu_model(data, machine) if "tmu" in variants or (
         "single_lane" in variants) else None
     if "tmu" in variants and model is not None:

@@ -64,6 +64,12 @@ def spadd_numpy(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     return coo_to_csr(merged)
 
 
+def _packed_keys(m: CsrMatrix) -> np.ndarray:
+    """One ``row * num_cols + col`` key per stored non-zero."""
+    rows = np.repeat(np.arange(m.num_rows, dtype=np.int64), np.diff(m.ptrs))
+    return rows * m.num_cols + m.idxs
+
+
 def characterize_spadd(a: CsrMatrix, b: CsrMatrix,
                        machine: MachineConfig) -> KernelTrace:
     """Characterize the scalar two-way merge baseline.
@@ -73,16 +79,15 @@ def characterize_spadd(a: CsrMatrix, b: CsrMatrix,
     branch (which way the comparison went is as unpredictable as the
     coordinate interleaving of the inputs).
     """
+    if a.shape != b.shape:
+        raise WorkloadError(f"shape mismatch: {a.shape} vs {b.shape}")
     rows = a.num_rows
-    # Count merge steps and two-hit steps exactly, vectorized.
-    steps = 0
-    both = 0
-    for i in range(rows):
-        ia = a.idxs[a.ptrs[i]:a.ptrs[i + 1]]
-        ib = b.idxs[b.ptrs[i]:b.ptrs[i + 1]]
-        inter = np.intersect1d(ia, ib, assume_unique=True).size
-        steps += ia.size + ib.size - inter
-        both += inter
+    # Count merge steps and two-hit steps exactly: the coordinates both
+    # operands hold are the intersection of their packed
+    # ``row * num_cols + col`` keys (unique, as a row's indexes are).
+    both = np.intersect1d(_packed_keys(a), _packed_keys(b),
+                          assume_unique=True).size
+    steps = a.nnz + b.nnz - both
     nnz_out = steps
 
     space = AddressSpace()

@@ -14,7 +14,9 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..memo import identity_memo
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, \
+    frozen_streams
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import CsrOperand, sorted_unique, sve_lanes
 
@@ -36,13 +38,7 @@ def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     return counts
 
 
-#: memos keyed by operand identity — the input suite memoizes matrices,
-#: so identities are stable; architecture sweeps (Figure 14)
-#: re-characterize the same operands many times.
-_SYMBOLIC_MEMO: dict[tuple, np.ndarray] = {}
-_SCAN_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@identity_memo
 def scan_arrays(a: CsrMatrix, b: CsrMatrix
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The positions and B column indexes visited by the Gustavson
@@ -54,21 +50,17 @@ def scan_arrays(a: CsrMatrix, b: CsrMatrix
     """
     from .common import gather_scan_positions
 
-    key = (id(a), id(b), a.nnz, b.nnz)
-    got = _SCAN_MEMO.get(key)
-    if got is None:
-        positions = gather_scan_positions(b.ptrs, a.idxs)
-        got = _SCAN_MEMO[key] = (positions, b.idxs[positions])
-    return got
+    positions = gather_scan_positions(b.ptrs, a.idxs)
+    cols = b.idxs[positions]
+    positions.flags.writeable = cols.flags.writeable = False
+    return positions, cols
 
 
+@identity_memo
 def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """Vectorized equivalent of :func:`spmspm_symbolic` (same counts,
-    numpy set-union per row) for characterization of larger inputs."""
-    key = (id(a), id(b), a.nnz, b.nnz)
-    cached = _SYMBOLIC_MEMO.get(key)
-    if cached is not None:
-        return cached
+    numpy set-union per row) for characterization of larger inputs,
+    memoized by operand identity."""
     # Expand every (A row i, B row k) pairing into packed
     # ``i << shift | col`` keys and take one global unique — the
     # per-row distinct-column counts drop out of the keys' high
@@ -92,7 +84,7 @@ def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
             uniq = sorted_unique((i_rep << 32) | cols)
             counts = np.bincount(uniq >> 32,
                                  minlength=a.num_rows).astype(np.int64)
-    _SYMBOLIC_MEMO[key] = counts
+    counts.flags.writeable = False
     return counts
 
 
@@ -133,6 +125,45 @@ def spmspm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
                      validate=False)
 
 
+@identity_memo
+def _gustavson_streams(a: CsrMatrix, b: CsrMatrix
+                       ) -> tuple[AccessStream, ...]:
+    """The address streams of the Gustavson baseline over ``Z = A B``.
+
+    They depend on the operands alone, so every machine variant of a
+    sweep shares one read-only set — and the walk cache then matches
+    them by identity instead of comparing multi-MB arrays.
+    """
+    space = AddressSpace()
+    a_op = CsrOperand(space, a)
+    b_op = CsrOperand(space, b)
+    # Output row assembly touches each produced non-zero ~twice
+    # (accumulate + gather-out); symbolic counts give its footprint.
+    nnz_out = int(_symbolic_counts_fast(a, b).sum())
+    out_idx_base = space.place(nnz_out * INDEX_BYTES)
+    out_val_base = space.place(nnz_out * VALUE_BYTES)
+    acc_base = space.place(b.num_cols * VALUE_BYTES)
+
+    # Address stream of the B-row scans, in traversal order.
+    scan_positions, scan_cols = scan_arrays(a, b)
+
+    return frozen_streams([
+        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
+        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
+        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
+        AccessStream(b_op.idx_addresses(scan_positions), INDEX_BYTES,
+                     "read", "B idxs scan", dependent=True),
+        AccessStream(b_op.val_addresses(scan_positions), VALUE_BYTES,
+                     "read", "B vals scan", dependent=True),
+        AccessStream(acc_base + scan_cols * VALUE_BYTES,
+                     VALUE_BYTES, "read", "accumulator", dependent=True),
+        AccessStream(out_idx_base + np.arange(nnz_out, dtype=np.int64)
+                     * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
+        AccessStream(out_val_base + np.arange(nnz_out, dtype=np.int64)
+                     * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
+    ])
+
+
 def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
                         machine: MachineConfig) -> KernelTrace:
     """Characterize the SVE Gustavson baseline on ``Z = A B``.
@@ -148,36 +179,7 @@ def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
     scanned = b_row_nnz[a.idxs]          # B-row lengths per A non-zero
     total_scanned = int(scanned.sum())
     inner_chunks = int(np.sum(-(-scanned // lanes)))
-
-    space = AddressSpace()
-    a_op = CsrOperand(space, a)
-    b_op = CsrOperand(space, b)
-    # Output row assembly touches each produced non-zero ~twice
-    # (accumulate + gather-out); symbolic counts give its footprint.
-    out_counts = _symbolic_counts_fast(a, b)
-    nnz_out = int(out_counts.sum())
-    out_idx_base = space.place(nnz_out * INDEX_BYTES)
-    out_val_base = space.place(nnz_out * VALUE_BYTES)
-    acc_base = space.place(b.num_cols * VALUE_BYTES)
-
-    # Address stream of the B-row scans, in traversal order.
-    scan_positions, scan_cols = scan_arrays(a, b)
-
-    streams = [
-        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
-        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
-        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
-        AccessStream(b_op.idx_addresses(scan_positions), INDEX_BYTES,
-                     "read", "B idxs scan", dependent=True),
-        AccessStream(b_op.val_addresses(scan_positions), VALUE_BYTES,
-                     "read", "B vals scan", dependent=True),
-        AccessStream(acc_base + scan_cols * VALUE_BYTES,
-                     VALUE_BYTES, "read", "accumulator", dependent=True),
-        AccessStream(out_idx_base + np.arange(nnz_out, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
-        AccessStream(out_val_base + np.arange(nnz_out, dtype=np.int64)
-                     * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
-    ]
+    nnz_out = int(_symbolic_counts_fast(a, b).sum())
     return KernelTrace(
         name="spmspm",
         scalar_ops=8 * nnz_a + 6 * rows + 4 * nnz_out,
@@ -187,7 +189,7 @@ def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
         branches=inner_chunks + nnz_a + rows,
         datadep_branches=nnz_a,
         flops=2.0 * total_scanned,
-        streams=streams,
+        streams=list(_gustavson_streams(a, b)),
         dependent_load_fraction=0.55,
         parallel_units=rows,
     )

@@ -15,8 +15,11 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
+from ..kernels.spmspm import _symbolic_counts_fast, scan_arrays
+from ..memo import identity_memo
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, \
+    frozen_streams
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import (
@@ -123,6 +126,34 @@ def build_spmspm_program(a: CsrMatrix, b: CsrMatrix, *, lanes: int = 2,
     )
 
 
+@identity_memo
+def _tmu_streams(a: CsrMatrix, b: CsrMatrix
+                 ) -> tuple[tuple[AccessStream, ...], tuple[AccessStream, ...]]:
+    """The TMU's traversal streams and the core's result-write streams
+    for ``Z = A B``.  They depend on the operands alone, so every
+    machine variant of a sweep shares one read-only set."""
+    space = AddressSpace()
+    streams, _ = csr_tmu_streams(a, space, "A")
+    b_ptr_base = space.place((b.num_rows + 1) * INDEX_BYTES)
+    b_idx_base = space.place(max(1, b.nnz) * INDEX_BYTES)
+    b_val_base = space.place(max(1, b.nnz) * VALUE_BYTES)
+    streams.append(AccessStream(
+        b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES, "read",
+        "B ptrs lookup", dependent=True))
+    scan_positions, _ = scan_arrays(a, b)
+    streams.append(AccessStream(
+        b_idx_base + scan_positions * INDEX_BYTES, INDEX_BYTES, "read",
+        "B idxs scan", dependent=True))
+    streams.append(AccessStream(
+        b_val_base + scan_positions * VALUE_BYTES, VALUE_BYTES, "read",
+        "B vals scan", dependent=True))
+    nnz_out = int(_symbolic_counts_fast(a, b).sum())
+    return frozen_streams(streams), frozen_streams([
+        write_stream(space, nnz_out, "Z idxs", INDEX_BYTES),
+        write_stream(space, nnz_out, "Z vals", VALUE_BYTES),
+    ])
+
+
 def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
                         machine: MachineConfig, *,
                         name: str = "spmspm") -> TmuWorkloadModel:
@@ -133,29 +164,9 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
     scanned = b_row_nnz[a.idxs] if nnz_a else np.zeros(0, dtype=np.int64)
     total_scanned = int(scanned.sum())
     steps = int(np.sum(-(-scanned // lanes))) if nnz_a else 0
-
-    space = AddressSpace()
-    streams, _ = csr_tmu_streams(a, space, "A")
-    b_ptr_base = space.place((b.num_rows + 1) * INDEX_BYTES)
-    b_idx_base = space.place(max(1, b.nnz) * INDEX_BYTES)
-    b_val_base = space.place(max(1, b.nnz) * VALUE_BYTES)
-    streams.append(AccessStream(
-        b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES, "read",
-        "B ptrs lookup", dependent=True))
-    from ..kernels.spmspm import scan_arrays
-
-    scan_positions, _ = scan_arrays(a, b)
-    streams.append(AccessStream(
-        b_idx_base + scan_positions * INDEX_BYTES, INDEX_BYTES, "read",
-        "B idxs scan", dependent=True))
-    streams.append(AccessStream(
-        b_val_base + scan_positions * VALUE_BYTES, VALUE_BYTES, "read",
-        "B vals scan", dependent=True))
-
     # Output size for the core-side assembly cost.
-    from ..kernels.spmspm import _symbolic_counts_fast
-
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
+    tmu_streams, core_streams = _tmu_streams(a, b)
 
     ji_bytes = record_bytes(2, lanes, with_mask=True)
     ki_bytes = record_bytes(1, 1)
@@ -171,16 +182,13 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
         branches=steps + nnz_a + rows + nnz_out,
         datadep_branches=nnz_out // 8,   # touched-list dedup
         flops=2.0 * total_scanned,
-        streams=[
-            write_stream(space, nnz_out, "Z idxs", INDEX_BYTES),
-            write_stream(space, nnz_out, "Z vals", VALUE_BYTES),
-        ],
+        streams=list(core_streams),
         dependent_load_fraction=0.3,     # accumulator gathers
         parallel_units=rows,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(tmu_streams),
         layer_elements=[rows, nnz_a, total_scanned],
         layer_lanes=[1, 1, lanes],
         merge_steps=0,

@@ -247,12 +247,8 @@ def run_from_record(record: dict):
 
     results = record["results"]
     task = record["task"]
-    run = WorkloadRun(
-        workload=task["workload"],
-        input_id=task["input_id"],
-        baseline=system_result_from_dict(results["baseline"]),
-    )
-    for variant in ("tmu", "single_lane", "imp"):
+    run = WorkloadRun(workload=task["workload"], input_id=task["input_id"])
+    for variant in KNOWN_VARIANTS:
         if variant in results:
             setattr(run, variant, system_result_from_dict(results[variant]))
     return run

@@ -34,6 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..config import CacheConfig, MachineConfig
+from ..memo import identity_memo
 from . import stackdist
 from .cache import CacheStats, _CacheTelemetry, dedup_consecutive, \
     settle_lookup, to_lines
@@ -128,35 +129,22 @@ def _streams_equal(stored: list[np.ndarray],
         for a, s in zip(stored, streams))
 
 
-#: Per-array content digests, LRU over array identity.  The same
-#: address arrays are digested for the hierarchy walk, the LLC-only
-#: walk, and again on the post-miss ``put`` — hashing each one once
-#: turns the sha256 over multi-million-entry streams from the dominant
-#: disk-tier cost into a per-session constant.  Entries hold a strong
-#: reference to the array, so a memoized id can never be recycled by a
-#: new object while its entry lives (and the arrays are the very ones
-#: the memory tier pins anyway).  Trace arrays are immutable once
-#: built (the memory tier's identity short-circuit already relies on
-#: this), so identity implies unchanged content.
-_ARRAY_DIGESTS: OrderedDict = OrderedDict()
-_ARRAY_DIGESTS_CAP = 1024
-
-
+@identity_memo
 def _array_digest(a: np.ndarray) -> str:
-    token = id(a)
-    hit = _ARRAY_DIGESTS.get(token)
-    if hit is not None:
-        _ARRAY_DIGESTS.move_to_end(token)
-        return hit[1]
+    """sha256 over one array's dtype and bytes, memoized by identity.
+
+    The same address arrays are digested for the hierarchy walk, the
+    LLC-only walk, and again on the post-miss ``put`` — hashing each
+    one once turns the sha256 over multi-million-entry streams from the
+    dominant disk-tier cost into a per-session constant.  Trace arrays
+    are immutable once built (the memory tier's identity short-circuit
+    already relies on this), so identity implies unchanged content.
+    """
     c = a if a.flags.c_contiguous else np.ascontiguousarray(a)
     h = hashlib.sha256()
     h.update(str(c.dtype).encode())
     h.update(c.data)
-    d = h.hexdigest()
-    while len(_ARRAY_DIGESTS) >= _ARRAY_DIGESTS_CAP:
-        _ARRAY_DIGESTS.popitem(last=False)
-    _ARRAY_DIGESTS[token] = (a, d)
-    return d
+    return h.hexdigest()
 
 
 def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:

@@ -92,6 +92,16 @@ class AccessStream:
         return self.count * self.elem_bytes
 
 
+def frozen_streams(streams) -> tuple[AccessStream, ...]:
+    """``streams`` as a tuple with read-only address arrays — the form
+    a memoized builder shares between callers, so no caller can edit
+    the arrays or append to the memoized collection."""
+    streams = tuple(streams)
+    for s in streams:
+        s.addresses.flags.writeable = False
+    return streams
+
+
 def strided_addresses(base: int, count: int, elem_bytes: int,
                       stride_elems: int = 1) -> np.ndarray:
     """Addresses of a sequential (or strided) array walk."""
