@@ -15,6 +15,7 @@ Workload categories follow the paper's grouping:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -238,6 +239,17 @@ def _load_input(spec: Workload, input_id: str, scale: str):
     return _load_order3(input_id, scale)
 
 
+#: per-thread count of :func:`run_workload` calls its memo did not
+#: serve (see :func:`workload_runs`).
+_RUNS = threading.local()
+
+
+def workload_runs() -> int:
+    """How many :func:`run_workload` calls this thread actually ran —
+    a call that leaves it unchanged was a memo hit."""
+    return getattr(_RUNS, "count", 0)
+
+
 @lru_cache(maxsize=None)
 def run_workload(workload_id: str, input_id: str,
                  machine: MachineConfig, scale: str = "small", *,
@@ -255,6 +267,7 @@ def run_workload(workload_id: str, input_id: str,
             f"unknown workload {workload_id!r}; known: {sorted(WORKLOADS)}"
         )
     spec = WORKLOADS[workload_id]
+    _RUNS.count = workload_runs() + 1
     data = _load_input(spec, input_id, scale)
     run = WorkloadRun(workload=workload_id, input_id=input_id)
     if spec.composite is not None:

@@ -15,8 +15,7 @@ from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..memo import identity_memo
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace, \
-    frozen_streams
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import CsrOperand, sorted_unique, sve_lanes
 
@@ -147,7 +146,7 @@ def _gustavson_streams(a: CsrMatrix, b: CsrMatrix
     # Address stream of the B-row scans, in traversal order.
     scan_positions, scan_cols = scan_arrays(a, b)
 
-    return frozen_streams([
+    return (
         AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
         AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
         AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
@@ -161,7 +160,7 @@ def _gustavson_streams(a: CsrMatrix, b: CsrMatrix
                      * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
         AccessStream(out_val_base + np.arange(nnz_out, dtype=np.int64)
                      * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
-    ])
+    )
 
 
 def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,

@@ -26,6 +26,7 @@ def identity_memo(fn):
     (tuples, read-only arrays), or copy them before handing them out.
     Threads that miss at once each compute the value; they are equal,
     so whichever is stored last is as good as the first.
+    ``wrapper.cache_clear()`` drops every entry.
     """
     memo: dict[tuple, tuple] = {}
 
@@ -43,4 +44,5 @@ def identity_memo(fn):
             weakref.finalize(x, memo.pop, key, None).atexit = False
         return value
 
+    wrapper.cache_clear = memo.clear
     return wrapper

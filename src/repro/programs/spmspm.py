@@ -18,8 +18,7 @@ from ..formats.csr import CsrMatrix
 from ..kernels.spmspm import _symbolic_counts_fast, scan_arrays
 from ..memo import identity_memo
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace, \
-    frozen_streams
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import (
@@ -148,10 +147,10 @@ def _tmu_streams(a: CsrMatrix, b: CsrMatrix
         b_val_base + scan_positions * VALUE_BYTES, VALUE_BYTES, "read",
         "B vals scan", dependent=True))
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
-    return frozen_streams(streams), frozen_streams([
+    return tuple(streams), (
         write_stream(space, nnz_out, "Z idxs", INDEX_BYTES),
         write_stream(space, nnz_out, "Z vals", VALUE_BYTES),
-    ])
+    )
 
 
 def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,

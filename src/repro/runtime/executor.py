@@ -88,7 +88,12 @@ def _evaluate_task(task: SimTask, capture_telemetry: bool = False,
     workers (the parent installs its own tier via
     ``runtime.configure``): hierarchy walks memoized by any worker,
     the parent, a server job or a previous session are then shared.
+
+    A cell the evaluating process's ``run_workload`` memo served
+    comes back with a transient ``"memo_hit"`` key.
     """
+    from ..eval.workloads import workload_runs
+
     _install_walk_store(walk_dir)
     with ExitStack() as stack:
         if log_context is not None:
@@ -100,7 +105,10 @@ def _evaluate_task(task: SimTask, capture_telemetry: bool = False,
         tracer = stack.enter_context(obs.trace_capture()) if (
             capture_trace) else None
         started = time.perf_counter()
+        runs = workload_runs()
         record = task.evaluate()
+        if workload_runs() == runs:
+            record["memo_hit"] = True
         log_event(_log, logging.DEBUG, "cell evaluated",
                   label=getattr(task, "label", None),
                   elapsed=round(time.perf_counter() - started, 6))
@@ -109,6 +117,14 @@ def _evaluate_task(task: SimTask, capture_telemetry: bool = False,
     if tracer is not None:
         record["trace"] = tracer.as_dict()
     return record
+
+
+def _outcome_note(outcome: "TaskOutcome") -> str:
+    """The tail of a cell's progress line: its error, or where a
+    simulated cell's result came from when no simulation ran."""
+    if not outcome.ok:
+        return f" — {outcome.error}"
+    return " (from the run_workload memo)" if outcome.memo_hit else ""
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,9 @@ class TaskOutcome:
     wall_time: float
     attempts: int
     error: str | None = None
+    #: simulated, but served by the evaluating process's
+    #: ``run_workload`` memo
+    memo_hit: bool = False
 
     @property
     def ok(self) -> bool:
@@ -252,7 +271,8 @@ class Runtime:
                 record = _evaluate_task(pinned)
                 return TaskOutcome(task, record, cached=False,
                                    wall_time=time.perf_counter() - start,
-                                   attempts=attempt)
+                                   attempts=attempt,
+                                   memo_hit=record.pop("memo_hit", False))
             except Exception as exc:  # noqa: BLE001 - report, don't die
                 if attempt > self.retries:
                     return TaskOutcome(
@@ -271,7 +291,7 @@ class Runtime:
             self._emit("cell",
                        f"[{i}/{len(tasks)}] simulated {task.label} "
                        f"in {outcome.wall_time:.2f}s"
-                       + ("" if outcome.ok else f" — {outcome.error}"),
+                       + _outcome_note(outcome),
                        task_hash=task.content_hash(), label=task.label,
                        state="simulated" if outcome.ok else "failed",
                        attempt=outcome.attempts,
@@ -321,7 +341,8 @@ class Runtime:
                     outcomes[i] = TaskOutcome(
                         task, record, cached=False,
                         wall_time=time.perf_counter() - start,
-                        attempts=1)
+                        attempts=1,
+                        memo_hit=record.pop("memo_hit", False))
                 except FutureTimeoutError:
                     future.cancel()
                     outcomes[i] = TaskOutcome(
@@ -352,8 +373,8 @@ class Runtime:
                     self._emit("cell",
                                f"[{done}/{len(tasks)}] "
                                + (f"simulated {task.label}" if out.ok
-                                  else f"failed {task.label} — "
-                                       f"{out.error}"),
+                                  else f"failed {task.label}")
+                               + _outcome_note(out),
                                task_hash=task.content_hash(),
                                label=task.label,
                                state="simulated" if out.ok else "failed",
@@ -437,19 +458,21 @@ class Runtime:
                                 "attempts": outcome.attempts,
                             })
 
+        finished = [outcomes[t.content_hash()] for t in ordered]
         entries = [
             ManifestEntry(
-                hash=t.content_hash(),
-                workload=t.workload,
-                input_id=t.input_id,
-                scale=t.scale,
-                variants=sorted(t.variants),
-                cached=outcomes[t.content_hash()].cached,
-                wall_time=outcomes[t.content_hash()].wall_time,
-                attempts=outcomes[t.content_hash()].attempts,
-                error=outcomes[t.content_hash()].error,
+                hash=o.task.content_hash(),
+                workload=o.task.workload,
+                input_id=o.task.input_id,
+                scale=o.task.scale,
+                variants=sorted(o.task.variants),
+                cached=o.cached,
+                wall_time=o.wall_time,
+                attempts=o.attempts,
+                error=o.error,
+                memo_hit=o.memo_hit,
             )
-            for t in ordered
+            for o in finished
         ]
         manifest = RunManifest(jobs=self.jobs, mode=mode,
                                wall_time=time.perf_counter() - start,
@@ -461,6 +484,7 @@ class Runtime:
             view.counter("cells").add(len(ordered))
             view.counter("cells_cached").add(len(ordered) - len(misses))
             view.counter("cells_simulated").add(simulated)
+            view.counter("cells_memo_hit").add(manifest.memo_hits)
             view.counter("cells_failed").add(len(fresh) - simulated)
             timer = view.timer("batch")
             timer.observe(manifest.wall_time)
@@ -476,7 +500,7 @@ class Runtime:
         self.manifests.append(manifest)
         self._ingest_manifest(manifest)
         report = RunReport(
-            outcomes=[outcomes[t.content_hash()] for t in ordered],
+            outcomes=finished,
             manifest=manifest)
         if misses:
             self._emit("summary", manifest.summary(),

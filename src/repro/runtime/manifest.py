@@ -41,6 +41,8 @@ class ManifestEntry:
     wall_time: float
     attempts: int
     error: str | None = None
+    #: simulated, but served by the in-process ``run_workload`` memo
+    memo_hit: bool = False
 
     @property
     def ok(self) -> bool:
@@ -85,6 +87,12 @@ class RunManifest:
     def simulated(self) -> int:
         """Cells that actually ran a simulation (miss and succeeded)."""
         return sum(1 for e in self.entries if not e.cached and e.ok)
+
+    @property
+    def memo_hits(self) -> int:
+        """Simulated cells the ``run_workload`` memo served."""
+        return sum(1 for e in self.entries
+                   if not e.cached and e.ok and e.memo_hit)
 
     # ------------------------------------------------------------ plumbing
 
@@ -134,11 +142,14 @@ class RunManifest:
 
     def summary(self) -> str:
         """One-paragraph human report for the CLI / logs."""
+        memo = (f" ({self.memo_hits} from the run_workload memo)"
+                if self.memo_hits else "")
         lines = [
             f"runtime: {self.total} cells in {self.wall_time:.2f}s "
             f"({self.mode}, jobs={self.jobs}): "
             f"{self.cache_hits} cached ({self.hit_rate:.0%}), "
-            f"{self.simulated} simulated, {len(self.failures)} failed",
+            f"{self.simulated} simulated{memo}, "
+            f"{len(self.failures)} failed",
         ]
         for entry in self.failures:
             lines.append(

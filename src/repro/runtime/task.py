@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 from .. import __version__
@@ -71,7 +72,21 @@ KNOWN_VARIANTS = ("baseline", "tmu", "single_lane", "imp")
 # -------------------------------------------------- machine (de)serialization
 
 def machine_to_dict(machine: MachineConfig) -> dict:
-    """A ``MachineConfig`` as a plain nested dict (JSON-able, canonical)."""
+    """A ``MachineConfig`` as a plain nested dict (JSON-able, canonical).
+
+    Built once per distinct machine — every config is a frozen
+    dataclass, and a sweep hashes each machine once per cell — and
+    handed to each caller as its own copy."""
+    data = _machine_dict(machine, repr(machine))
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in data.items()}
+
+
+@lru_cache(maxsize=256)
+def _machine_dict(machine: MachineConfig, key: str) -> dict:
+    # ``key`` is the machine's repr: equal machines whose fields differ
+    # in type (``2`` vs ``2.0``) serialize differently, so they must
+    # not share an entry.
     return asdict(machine)
 
 

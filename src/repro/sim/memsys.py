@@ -15,6 +15,10 @@ Modeling notes (vs. gem5):
   (:mod:`repro.sim.stackdist`) classifies it exactly.  One batched
   :func:`walk` serves the L1 → L2 → LLC profile and the TMU's
   LLC-only view alike, traced or not.
+* Each piece of a walk is done once per session: a stream's line
+  sequence is prepared once per address array, and a level an earlier
+  walk of the same streams classified behind the same upper levels is
+  replayed from its recorded hit bits (:class:`WalkCache`).
 * Long streams are optionally *window-sampled*: a prefix window of each
   stream is simulated and the hit rates extrapolated.  Sampling is off
   by default at the suite's default scale.
@@ -29,6 +33,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -136,9 +141,9 @@ def _array_digest(a: np.ndarray) -> str:
     The same address arrays are digested for the hierarchy walk, the
     LLC-only walk, and again on the post-miss ``put`` — hashing each
     one once turns the sha256 over multi-million-entry streams from the
-    dominant disk-tier cost into a per-session constant.  Trace arrays
-    are immutable once built (the memory tier's identity short-circuit
-    already relies on this), so identity implies unchanged content.
+    dominant disk-tier cost into a per-session constant.  A stream's
+    address array is read-only (:class:`AccessStream` makes it so), so
+    identity implies unchanged content.
     """
     c = a if a.flags.c_contiguous else np.ascontiguousarray(a)
     h = hashlib.sha256()
@@ -180,7 +185,7 @@ def _decode_walk(payload: dict):
 
 
 class WalkCache:
-    """Two-tier memo of hierarchy walks.
+    """Two-tier memo of hierarchy walks, plus per-level reuse.
 
     Architecture sweeps re-profile identical (geometry, stream content)
     pairs — core-side variants leave the cache hierarchy untouched —
@@ -200,8 +205,20 @@ class WalkCache:
 
     Replaying a cached walk reproduces the walk's observable side
     effects (per-level counters and stats) exactly, keeping telemetry
-    identical to an unmemoized run.  Lookup/store traffic is published
-    under ``sim.memsys.walk_cache.*`` when telemetry is enabled.
+    identical to an unmemoized run.
+
+    Below whole walks, the memory tier also keeps each level a walk
+    classified: its hit bits (``np.packbits``) and access count, per
+    stream set and *geometry prefix* (the sets × ways of that level and
+    of every level above it).  A level's input is the misses of the
+    levels above it, so a walk whose L1 (or L1 + L2) matches an earlier
+    walk of the same streams — the Fig. 3 hosts and the Table 5
+    machine share one scaled L1 — replays those levels and classifies
+    only the ones below.  The records are keyed by the identity of the
+    (read-only) address arrays and die with them.
+
+    Lookup/store/reuse traffic is published under
+    ``sim.memsys.walk_cache.*`` when telemetry is enabled.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -213,6 +230,10 @@ class WalkCache:
         self.disk_hits = 0
         self.misses = 0
         self.evictions = 0
+        self.levels_reused = 0
+        # per stream set (identity of its address arrays): (prep key,
+        # geometry prefix) -> (packed hit bits, accesses)
+        self._level_tables = identity_memo(lambda *arrays: {})
 
     # ------------------------------------------------------------ telemetry
 
@@ -278,9 +299,36 @@ class WalkCache:
             self.evictions += evicted
             self._tele("evictions", evicted)
 
+    # ------------------------------------------------------ level reuse
+
+    def recorded_levels(self, arrays: tuple, prep: tuple,
+                        geoms: list[tuple]) -> list[tuple]:
+        """``(packed hit bits, accesses)`` of each level of the
+        longest prefix of ``geoms`` an earlier walk of ``arrays``
+        (prepared as ``prep``) classified, L1 first."""
+        table = self._level_tables(*arrays)
+        found = []
+        for depth in range(1, len(geoms) + 1):
+            record = table.get((prep, tuple(geoms[:depth])))
+            if record is None:
+                break
+            found.append(record)
+        if found:
+            self.levels_reused += len(found)
+            self._tele("levels_reused", len(found))
+            self._tele("lines_reused", sum(r[1] for r in found))
+        return found
+
+    def record_level(self, arrays: tuple, prep: tuple,
+                     geoms: list[tuple], hits: np.ndarray) -> None:
+        """Keep the hit mask of the last level of ``geoms``."""
+        self._level_tables(*arrays)[prep, tuple(geoms)] = (
+            np.packbits(hits), hits.size)
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+        self._level_tables.cache_clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -302,19 +350,52 @@ def configure_walk_store(store) -> None:
     _WALK_CACHE.store = store
 
 
+class PreparedLines:
+    """One stream's line sequence after dedup and window sampling
+    (read-only), its pre-sampling size, the extrapolation factor and,
+    on first use, its sequentiality."""
+
+    __slots__ = ("lines", "total", "scale", "_sequentiality")
+
+    def __init__(self, lines: np.ndarray, total: int, scale: float) -> None:
+        lines.flags.writeable = False
+        self.lines = lines
+        self.total = total
+        self.scale = scale
+        self._sequentiality = None
+
+    def sequentiality(self) -> float:
+        if self._sequentiality is None:
+            self._sequentiality = sequentiality(self.lines)
+        return self._sequentiality
+
+
+@identity_memo
+def _prepared(addresses: np.ndarray) -> dict:
+    """Per address array: (line size, sample window) -> its
+    :class:`PreparedLines`.  Weakly held: it dies with the array."""
+    return {}
+
+
 def prepare_lines(stream: AccessStream, line_bytes: int,
-                  sample_window: int | None
-                  ) -> tuple[np.ndarray, int, float]:
-    """One stream's line sequence after dedup and window sampling,
-    plus the pre-sampling size and the extrapolation factor — the
-    shared prep step of the hierarchy walk and the LLC-only walk."""
-    lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
-    total = lines.size
-    scale = 1.0
-    if sample_window and total > sample_window:
-        lines = lines[:sample_window]
-        scale = total / lines.size
-    return lines, total, scale
+                  sample_window: int | None) -> PreparedLines:
+    """One stream's prepared line sequence — the shared prep step of
+    the hierarchy walk and the LLC-only walk, done once per (address
+    array, line size, window): machine variants walk the same
+    read-only arrays."""
+    table = _prepared(stream.addresses)
+    prepared = table.get((line_bytes, sample_window))
+    if prepared is None:
+        lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
+        total = lines.size
+        scale = 1.0
+        if sample_window and total > sample_window:
+            # a copy, so the unsampled lines are not kept alive
+            lines = lines[:sample_window].copy()
+            scale = total / lines.size
+        prepared = table[line_bytes, sample_window] = PreparedLines(
+            lines, total, scale)
+    return prepared
 
 
 def sequentiality(lines: np.ndarray) -> float:
@@ -347,58 +428,68 @@ class CacheLevel:
 _HIT_FIELDS = ("l1_hits", "l2_hits", "llc_hits")
 
 
-def _level_hits(level: CacheLevel, lines: np.ndarray) -> np.ndarray:
-    """Classify one level's line stream and fold the outcome into the
-    level's stats and published ``sim.cache.<name>.*`` telemetry."""
-    if lines.size == 0:
-        return np.zeros(0, dtype=bool)
-    c = level.config
-    hits = stackdist.hit_mask(lines, c.num_sets, c.ways)
-    settle_lookup(level, lines.size, int(hits.sum()))
-    return hits
-
-
 def _classify(levels: list[CacheLevel], streams: list[AccessStream],
               sample_window: int | None,
               prefetch: bool) -> list[StreamProfile]:
-    """The batched walk: each stream's lines are prepared once and
-    concatenated in declaration order; each level classifies the
-    misses of the level before it in one call, and hits are attributed
-    back to streams by segment id.  Exact: a level's state depends only
-    on the lookups it serves, in the order it serves them."""
-    prepared = [prepare_lines(s, levels[0].config.line_bytes,
-                              sample_window) for s in streams]
-    num = len(prepared)
-    seg = np.repeat(np.arange(num, dtype=np.int64),
-                    [lines.size for lines, _, _ in prepared])
-    lines = (np.concatenate([p[0] for p in prepared])
-             if seg.size else np.zeros(0, dtype=np.int64))
+    """The batched walk: each stream's prepared lines are concatenated
+    in declaration order; each level classifies the misses of the level
+    before it in one stateless stack-distance pass, and hits are
+    attributed back to streams by segment.  Exact: a level's state
+    depends only on the lookups it serves, in the order it serves them
+    — which is also why a level an earlier walk of the same streams
+    classified behind the same upper levels can be replayed from its
+    recorded hit bits.  Every level's outcome is folded into its stats
+    and ``sim.cache.<name>.*`` telemetry, replayed or not."""
+    line_bytes = levels[0].config.line_bytes
+    prepared = [prepare_lines(s, line_bytes, sample_window)
+                for s in streams]
+    # Misses keep their order, so each stream's lines stay one
+    # contiguous segment of every level's input: per-stream counts are
+    # segment counts.
+    sizes = [p.lines.size for p in prepared]
+    lines = (np.concatenate([p.lines for p in prepared])
+             if streams else np.zeros(0, dtype=np.int64))
+    arrays = tuple(s.addresses for s in streams)
+    prep = (line_bytes, sample_window)
+    geoms = [(lv.config.num_sets, lv.config.ways) for lv in levels]
+    recorded = _WALK_CACHE.recorded_levels(arrays, prep, geoms)
     level_hits = []
-    for level in levels:
-        hit = _level_hits(level, lines)
-        level_hits.append(np.bincount(seg[hit], minlength=num))
-        lines, seg = lines[~hit], seg[~hit]
-    mem = np.bincount(seg, minlength=num)
+    for depth, level in enumerate(levels):
+        if depth < len(recorded):
+            packed, accesses = recorded[depth]
+            hit = np.unpackbits(packed, count=accesses).view(bool)
+        else:
+            hit = (stackdist.hit_mask(lines, *geoms[depth]) if lines.size
+                   else np.zeros(0, dtype=bool))
+            _WALK_CACHE.record_level(arrays, prep, geoms[:depth + 1], hit)
+        bounds = list(accumulate(sizes, initial=0))
+        hits = [int(np.count_nonzero(hit[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])]
+        if lines.size:
+            settle_lookup(level, lines.size, sum(hits))
+        level_hits.append(hits)
+        sizes = [size - h for size, h in zip(sizes, hits)]
+        if depth + 1 < len(levels):
+            lines = lines[~hit]
     fields = _HIT_FIELDS[-len(levels):]
 
     profiles = []
-    for i, (stream, (own, total, scale)) in enumerate(
-            zip(streams, prepared)):
+    for i, (stream, p) in enumerate(zip(streams, prepared)):
         # Stride/best-offset prefetchers cover sequential streams, but
         # imperfectly: late prefetches and stream restarts leave about
         # a quarter of the latency exposed.
-        coverage = (sequentiality(own) * 0.75
+        coverage = (p.sequentiality() * 0.75
                     if prefetch and not stream.dependent else 0.0)
         profiles.append(StreamProfile(
             label=stream.label,
             kind=stream.kind,
             dependent=stream.dependent,
             gather=stream.gather,
-            accesses=int(total * scale),
+            accesses=int(p.total * p.scale),
             bytes=int(stream.bytes),
-            mem_accesses=int(mem[i] * scale),
+            mem_accesses=int(sizes[i] * p.scale),
             prefetch_coverage=coverage,
-            **{f: int(h[i] * scale) for f, h in zip(fields, level_hits)},
+            **{f: int(h[i] * p.scale) for f, h in zip(fields, level_hits)},
         ))
     return profiles
 

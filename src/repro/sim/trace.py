@@ -49,7 +49,8 @@ class AccessStream:
     Attributes
     ----------
     addresses:
-        Byte addresses in program order.
+        Byte addresses in program order, held read-only (see
+        :func:`read_only`).
     elem_bytes:
         Element size (4 for indexes, 8 for values).
     kind:
@@ -74,8 +75,16 @@ class AccessStream:
     dependent: bool = False
     gather: bool = False
 
+    def __setattr__(self, name, value) -> None:
+        # Identity shortcuts keyed on an address array (the walk
+        # cache's memory tier and digests, the per-stream line memo)
+        # rely on its contents never changing, so every array a stream
+        # holds is read-only.
+        if name == "addresses":
+            value = read_only(np.asarray(value, dtype=np.int64))
+        super().__setattr__(name, value)
+
     def __post_init__(self) -> None:
-        self.addresses = np.asarray(self.addresses, dtype=np.int64)
         if self.kind not in ("read", "write"):
             raise SimulationError(f"bad access kind {self.kind!r}")
         if not 1 <= self.elem_bytes <= 256:
@@ -92,14 +101,18 @@ class AccessStream:
         return self.count * self.elem_bytes
 
 
-def frozen_streams(streams) -> tuple[AccessStream, ...]:
-    """``streams`` as a tuple with read-only address arrays — the form
-    a memoized builder shares between callers, so no caller can edit
-    the arrays or append to the memoized collection."""
-    streams = tuple(streams)
-    for s in streams:
-        s.addresses.flags.writeable = False
-    return streams
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with contents that can no longer change: an array that
+    owns its data is flagged read-only in place; any other array is
+    copied first, unless it views a read-only array that owns its data
+    (a view of writable memory still changes through its base)."""
+    base = a.base
+    if base is not None and not (isinstance(base, np.ndarray)
+                                 and base.base is None
+                                 and not base.flags.writeable):
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def strided_addresses(base: int, count: int, elem_bytes: int,

@@ -8,11 +8,13 @@ skips re-simulation.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
-from repro import runtime
+from repro import obs, runtime
 from repro.config import experiment_machine
 from repro.errors import ExecutorError, WorkloadError
 from repro.runtime import (
@@ -26,6 +28,7 @@ from repro.runtime import (
     machine_to_dict,
     run_from_record,
 )
+from repro.runtime.task import canonical_json
 
 
 @pytest.fixture
@@ -71,6 +74,31 @@ class TestSimTask:
     def test_machine_roundtrip(self):
         machine = experiment_machine("small").with_tmu(lanes=4)
         assert machine_from_dict(machine_to_dict(machine)) == machine
+
+    def test_spec_digest_is_pinned(self):
+        """``machine_to_dict`` is built once per distinct machine; the
+        spec every content hash covers must not move with it."""
+        spec = SimTask("spmv", "M1").spec()
+        assert spec["machine"] == asdict(experiment_machine("small"))
+        assert hashlib.sha256(canonical_json(spec).encode()).hexdigest() == (
+            "1813c45285f0da5222b01392ca67db0efc5c30b3818a236c74b1a70cf633fb08")
+
+    def test_machine_dicts_are_private_copies(self):
+        machine = experiment_machine("small")
+        mine = machine_to_dict(machine)
+        mine["num_cores"] = 0
+        mine["l1d"]["ways"] = 99
+        assert machine_to_dict(machine) == asdict(machine)
+
+    def test_equal_machines_of_other_field_types_keep_their_dicts(self):
+        as_int = experiment_machine("small").with_core(freq_ghz=2)
+        as_float = experiment_machine("small").with_core(freq_ghz=2.0)
+        assert as_int == as_float
+        for machine in (as_int, as_float):
+            assert canonical_json(machine_to_dict(machine)) == canonical_json(
+                asdict(machine))
+        assert SimTask("spmv", "M1", machine=as_int).content_hash() != (
+            SimTask("spmv", "M1", machine=as_float).content_hash())
 
     def test_record_roundtrips_through_json(self):
         task = SimTask("spmv", "M1")
@@ -194,6 +222,27 @@ class TestRuntimeSerial:
         assert manifest.simulated == 2
         assert not manifest.failures
         assert manifest.mode == "serial"
+
+    def test_memo_served_cells_are_reported(self):
+        from repro.eval.workloads import run_workload
+
+        run_workload.cache_clear()
+        tasks = [SimTask("spmv", "M1"), SimTask("spmv", "M2")]
+        Runtime(jobs=1).run_cells(tasks[:1])
+        events = []
+        rt = Runtime(jobs=1, progress=events.append)
+        with obs.capture() as registry:
+            rt.run_cells(tasks)
+        manifest = rt.last_manifest
+        assert (manifest.simulated, manifest.memo_hits) == (2, 1)
+        assert ("2 simulated (1 from the run_workload memo)"
+                in manifest.summary())
+        cells = [e.message for e in events if e.kind == "cell"]
+        assert cells[0].endswith(" (from the run_workload memo)")
+        assert "memo" not in cells[1]
+        counters = registry.as_dict()["counters"]
+        assert counters["runtime.executor.cells_memo_hit"] == 1
+        assert counters["runtime.executor.cells_simulated"] == 2
 
     def test_duplicate_tasks_collapse_to_one_cell(self, cache):
         rt = Runtime(jobs=1, cache=cache)
